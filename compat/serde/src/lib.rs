@@ -166,11 +166,13 @@ impl Value {
     /// # Errors
     ///
     /// Returns a message with the byte offset of the first syntax
-    /// error, trailing garbage, or unterminated construct.
+    /// error, trailing garbage, or unterminated construct, and rejects
+    /// arrays and objects nested more than [`MAX_NESTING`] deep.
     pub fn parse_json(text: &str) -> Result<Value, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -182,10 +184,17 @@ impl Value {
     }
 }
 
+/// The deepest nesting of arrays and objects [`Value::parse_json`]
+/// accepts. The parser recurses once per level, so without a bound a
+/// line of `[`s overflows the stack and aborts the process.
+pub const MAX_NESTING: usize = 128;
+
 /// A minimal recursive-descent JSON reader over raw bytes.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -223,11 +232,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("expected a value at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_NESTING {
+            return Err(format!("nesting too deep at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -602,6 +622,24 @@ mod tests {
         ] {
             assert!(Value::parse_json(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\":".repeat(n - 1) + "{}" + &"}".repeat(n - 1);
+        assert!(Value::parse_json(&arrays(MAX_NESTING)).is_ok());
+        assert!(Value::parse_json(&objects(MAX_NESTING)).is_ok());
+        assert_eq!(
+            Value::parse_json(&arrays(MAX_NESTING + 1)),
+            Err(format!("nesting too deep at byte {MAX_NESTING}"))
+        );
+        assert!(Value::parse_json(&objects(MAX_NESTING + 1))
+            .unwrap_err()
+            .starts_with("nesting too deep"));
+        // Far past the limit: an error, not a stack overflow.
+        let err = Value::parse_json(&"[".repeat(500_000)).unwrap_err();
+        assert_eq!(err, format!("nesting too deep at byte {MAX_NESTING}"));
     }
 
     #[test]

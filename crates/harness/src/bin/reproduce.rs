@@ -91,9 +91,7 @@ fn reproduce(args: ReproduceArgs) -> Result<(), String> {
         .map_err(|e| format!("workload generation failed: {e}"))?;
     let trace_seconds = trace_start.elapsed().as_secs_f64();
 
-    let mut runner = Runner::new(suite)
-        .with_jobs(args.jobs)
-        .with_lane_width(args.lane_width);
+    let mut runner = Runner::new(suite).with_jobs(args.jobs);
     let faults = mds_harness::cli::effective_fault_plan(args.fault_plan.as_deref())?;
     if faults.is_armed() {
         eprintln!("fault injection armed");
@@ -219,9 +217,6 @@ fn reproduce(args: ReproduceArgs) -> Result<(), String> {
                 ("simulation_seconds", Value::Float(stats.sim_seconds())),
                 ("prep_seconds", Value::Float(stats.prep_seconds())),
                 ("artifact_builds", Value::UInt(stats.artifact_builds)),
-                ("lane_batches", Value::UInt(stats.lane_batches)),
-                ("lane_fallbacks", Value::UInt(stats.lane_fallbacks)),
-                ("lane_peeled_hits", Value::UInt(stats.lane_peeled_hits)),
                 ("total_seconds", Value::Float(total_seconds)),
             ],
         )
@@ -433,29 +428,6 @@ impl Reproduce {
             ),
             ("job_retries".to_string(), Value::UInt(stats.job_retries)),
             ("job_failures".to_string(), Value::UInt(stats.job_failures)),
-            (
-                "lane_width".to_string(),
-                Value::UInt(self.runner.lane_width() as u64),
-            ),
-            ("lane_batches".to_string(), Value::UInt(stats.lane_batches)),
-            (
-                "lane_fallbacks".to_string(),
-                Value::UInt(stats.lane_fallbacks),
-            ),
-            (
-                "lane_peeled_hits".to_string(),
-                Value::UInt(stats.lane_peeled_hits),
-            ),
-            (
-                "lane_width_histogram".to_string(),
-                Value::Array(
-                    stats
-                        .lane_width_hist
-                        .iter()
-                        .map(|&n| Value::UInt(n))
-                        .collect(),
-                ),
-            ),
             (
                 "faults_injected".to_string(),
                 Value::UInt(stats.faults_injected),

@@ -107,9 +107,7 @@ fn serve(args: ServeArgs) -> Result<(), String> {
     );
     let suite = Suite::generate(&args.benchmarks, &args.params)
         .map_err(|e| format!("workload generation failed: {e}"))?;
-    let mut runner = Runner::new(suite)
-        .with_jobs(args.jobs)
-        .with_lane_width(args.lane_width);
+    let mut runner = Runner::new(suite).with_jobs(args.jobs);
     let faults = mds_harness::cli::effective_fault_plan(args.fault_plan.as_deref())?;
     if faults.is_armed() {
         eprintln!("mds-serve: fault injection armed");

@@ -34,7 +34,7 @@ pub const EXPERIMENTS: [&str; 15] = [
 
 /// Usage string for `reproduce`.
 pub const REPRODUCE_USAGE: &str = "usage: reproduce [--scale tiny|test|bench] \
-     [--benchmarks name,...] [--only table1,fig2,...] [--out DIR] [--jobs N] [--lane-width N]\n\
+     [--benchmarks name,...] [--only table1,fig2,...] [--out DIR] [--jobs N]\n\
      [--cache-dir DIR] [--durable-cache] [--trace-out FILE.jsonl] [--trace-every N]\n\
      [--fault-plan SPEC] [--list]\n\
      experiments: table1 table2 fig1 table3 fig2 fig3 fig4 fig5 fig6 table4 \
@@ -42,7 +42,7 @@ pub const REPRODUCE_USAGE: &str = "usage: reproduce [--scale tiny|test|bench] \
 
 /// Usage string for `mds-serve`.
 pub const SERVE_USAGE: &str = "usage: mds-serve --socket PATH [--scale tiny|test|bench] \
-     [--benchmarks name,...] [--jobs N] [--lane-width N]\n\
+     [--benchmarks name,...] [--jobs N]\n\
      [--cache-dir DIR] [--durable-cache] [--trace-out FILE.jsonl] [--trace-every N]\n\
      [--read-timeout-ms N] [--write-timeout-ms N] [--max-connections N] \
      [--fault-plan SPEC]\n\
@@ -62,9 +62,6 @@ pub struct ReproduceArgs {
     pub out: Option<PathBuf>,
     /// Worker threads (`0` = automatic).
     pub jobs: usize,
-    /// Lane width (`--lane-width`): same-trace configs simulated
-    /// together per batch (`0` = the runner's default, `1` = solo).
-    pub lane_width: usize,
     /// Persistent result-cache directory (`--cache-dir`); `None` keeps
     /// the cache purely in memory.
     pub cache_dir: Option<PathBuf>,
@@ -91,7 +88,6 @@ impl Default for ReproduceArgs {
             only: None,
             out: None,
             jobs: 0,
-            lane_width: 0,
             cache_dir: None,
             trace_out: None,
             trace_every: 64,
@@ -139,7 +135,6 @@ pub fn parse_reproduce_args(args: &[String]) -> Result<ReproduceCommand, String>
             }
             "--out" => parsed.out = Some(PathBuf::from(value("--out")?)),
             "--jobs" => parsed.jobs = parse_jobs(value("--jobs")?)?,
-            "--lane-width" => parsed.lane_width = parse_lane_width(value("--lane-width")?)?,
             "--cache-dir" => parsed.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
             "--durable-cache" => parsed.durable_cache = true,
             "--trace-out" => parsed.trace_out = Some(PathBuf::from(value("--trace-out")?)),
@@ -164,8 +159,6 @@ pub struct ServeArgs {
     pub benchmarks: Vec<Benchmark>,
     /// Worker threads (`0` = automatic).
     pub jobs: usize,
-    /// Lane width (`0` = the runner's default, `1` = solo simulation).
-    pub lane_width: usize,
     /// Persistent result-cache directory; `None` keeps the cache
     /// purely in memory.
     pub cache_dir: Option<PathBuf>,
@@ -213,7 +206,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeCommand, String> {
     let mut params = SuiteParams::bench();
     let mut benchmarks = Benchmark::ALL.to_vec();
     let mut jobs = 0;
-    let mut lane_width = 0;
     let mut cache_dir = None;
     let mut trace_out = None;
     let mut trace_every = 0;
@@ -234,7 +226,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeCommand, String> {
             "--scale" => params = parse_scale(value("--scale")?)?,
             "--benchmarks" => benchmarks = parse_benchmarks(value("--benchmarks")?)?,
             "--jobs" => jobs = parse_jobs(value("--jobs")?)?,
-            "--lane-width" => lane_width = parse_lane_width(value("--lane-width")?)?,
             "--cache-dir" => cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
             "--durable-cache" => durable_cache = true,
             "--trace-out" => trace_out = Some(PathBuf::from(value("--trace-out")?)),
@@ -259,7 +250,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeCommand, String> {
         params,
         benchmarks,
         jobs,
-        lane_width,
         cache_dir,
         trace_out,
         trace_every,
@@ -305,16 +295,6 @@ pub fn parse_scale(v: &str) -> Result<SuiteParams, String> {
 /// Rejects non-numeric values.
 pub fn parse_jobs(v: &str) -> Result<usize, String> {
     v.parse().map_err(|e| format!("bad --jobs value {v}: {e}"))
-}
-
-/// Parses a `--lane-width` value (`0` = the runner's default width).
-///
-/// # Errors
-///
-/// Rejects non-numeric values.
-pub fn parse_lane_width(v: &str) -> Result<usize, String> {
-    v.parse()
-        .map_err(|e| format!("bad --lane-width value {v}: {e}"))
 }
 
 /// Parses a `--trace-every` stride (`0` = lifecycle events only).
@@ -454,7 +434,6 @@ mod tests {
         assert_eq!(args.benchmarks.len(), Benchmark::ALL.len());
         assert_eq!(args.only, None);
         assert_eq!(args.jobs, 0);
-        assert_eq!(args.lane_width, 0, "0 defers to the runner default");
         assert_eq!(args.out, None);
         assert_eq!(args.cache_dir, None);
         assert_eq!(args.trace_out, None);
@@ -501,8 +480,6 @@ mod tests {
             "/tmp/x",
             "--jobs",
             "3",
-            "--lane-width",
-            "2",
             "--cache-dir",
             "/tmp/x/cache",
             "--trace-out",
@@ -525,7 +502,6 @@ mod tests {
         );
         assert_eq!(args.out, Some(PathBuf::from("/tmp/x")));
         assert_eq!(args.jobs, 3);
-        assert_eq!(args.lane_width, 2);
         assert_eq!(args.cache_dir, Some(PathBuf::from("/tmp/x/cache")));
         assert_eq!(args.trace_out, Some(PathBuf::from("/tmp/x/trace.jsonl")));
         assert_eq!(args.trace_every, 128);
@@ -572,8 +548,6 @@ mod tests {
             "compress,swim",
             "--jobs",
             "2",
-            "--lane-width",
-            "8",
             "--cache-dir",
             "/tmp/cache",
         ]))
@@ -585,7 +559,6 @@ mod tests {
         assert_eq!(args.params, SuiteParams::tiny());
         assert_eq!(args.benchmarks, vec![Benchmark::Compress, Benchmark::Swim]);
         assert_eq!(args.jobs, 2);
-        assert_eq!(args.lane_width, 8);
         assert_eq!(args.cache_dir, Some(PathBuf::from("/tmp/cache")));
         assert_eq!(args.trace_out, None);
         assert_eq!(args.trace_every, 0);
@@ -637,7 +610,6 @@ mod tests {
         assert!(parse_reproduce_args(&strs(&["--scale"])).is_err());
         assert!(parse_reproduce_args(&strs(&["--scale", "huge"])).is_err());
         assert!(parse_reproduce_args(&strs(&["--jobs", "many"])).is_err());
-        assert!(parse_reproduce_args(&strs(&["--lane-width", "wide"])).is_err());
         assert!(parse_reproduce_args(&strs(&["--trace-every", "often"])).is_err());
         assert!(parse_reproduce_args(&strs(&["--trace-out"])).is_err());
     }

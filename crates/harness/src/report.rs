@@ -520,19 +520,9 @@ pub fn bench_diff(
             regressed,
         });
     }
-    // Ungated informational counters. The lane keys are absent from
-    // records written before lane batching existed, so a missing
-    // *baseline* value reads as 0 (the old executor dispatched no
-    // batches) while a record-less *current* side omits the row.
-    for key in [
-        "cache_hits",
-        "disk_hits",
-        "disk_writes",
-        "skipped_cycles",
-        "lane_batches",
-        "lane_peeled_hits",
-        "lane_fallbacks",
-    ] {
+    // Ungated informational counters. A missing *baseline* value reads
+    // as 0, while a record-less *current* side omits the row.
+    for key in ["cache_hits", "disk_hits", "disk_writes", "skipped_cycles"] {
         if let Some(c) = number(current, key) {
             rows.push(DiffRow {
                 metric: key.to_string(),

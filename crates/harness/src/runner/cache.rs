@@ -91,20 +91,7 @@ impl SimCache {
             simulations: self.simulations.load(Ordering::Relaxed),
             sim_nanos: self.sim_nanos.load(Ordering::Relaxed),
             skipped_cycles: self.skipped_cycles.load(Ordering::Relaxed),
-            artifact_builds: 0,
-            prep_nanos: 0,
-            disk_hits: 0,
-            disk_writes: 0,
-            disk_read_errors: 0,
-            disk_write_errors: 0,
-            orphans_removed: 0,
-            job_retries: 0,
-            job_failures: 0,
-            faults_injected: 0,
-            lane_batches: 0,
-            lane_fallbacks: 0,
-            lane_peeled_hits: 0,
-            lane_width_hist: [0; 8],
+            ..RunnerStats::default()
         }
     }
 }
@@ -152,19 +139,10 @@ pub struct RunnerStats {
     /// Faults injected by the armed [`FaultPlan`](crate::FaultPlan),
     /// across every site (0 on production runs, whose plan is unarmed).
     pub faults_injected: u64,
-    /// Lane batches dispatched to the executor (width-1 batches
-    /// included; one batch may carry several configs).
+    /// Simulation jobs dispatched to the executor: `simulations +
+    /// job_failures`. Kept, under its old name, because the pinned
+    /// benchmark reads it from the `stats` reply.
     pub lane_batches: u64,
-    /// Multi-lane batches that panicked mid-flight and re-ran every
-    /// member solo (results are unaffected; only throughput is lost).
-    pub lane_fallbacks: u64,
-    /// Cache hits (memory or disk) peeled out of a would-be lane batch
-    /// before it launched — only counted while batching is enabled
-    /// (lane width > 1).
-    pub lane_peeled_hits: u64,
-    /// Histogram of dispatched batch widths: bucket `i` counts batches
-    /// of `i + 1` lanes; the last bucket collects widths ≥ 8.
-    pub lane_width_hist: [u64; 8],
 }
 
 impl RunnerStats {

@@ -1,27 +1,17 @@
-//! Work-stealing parallel execution of pending simulation jobs,
-//! dispatched as config-lane batches.
+//! Work-stealing parallel execution of pending simulation jobs.
 //!
-//! Jobs that replay the same trace are grouped into [`LaneBatch`]es of
-//! up to `lane_width` configurations (see [`form_batches`]): one batch
-//! streams the shared trace and artifacts through the cache once for
-//! all its lanes instead of once per config. Workers share one atomic
-//! cursor over the batch list: each thread claims the next un-started
-//! batch with a `fetch_add`, so a thread that finishes a short batch
-//! immediately steals the next pending one instead of idling behind a
-//! static partition. Results are reported back tagged with their job
-//! index, so callers always observe them in submission order regardless
-//! of completion order or batch shape.
+//! Workers share one atomic cursor over the job list: each thread claims
+//! the next un-started job with a `fetch_add`, so a thread that finishes
+//! a short simulation immediately steals the next pending one instead of
+//! idling behind a static partition. Results are reported back tagged
+//! with their job index, so callers always observe them in submission
+//! order regardless of completion order.
 //!
-//! A panic inside a solo job is contained to that job: the worker
-//! catches it, retries the job once (a transient — OOM-killed thread,
+//! A panic inside a job is contained to that job: the worker catches it,
+//! retries the job once in place (a transient — OOM-killed thread,
 //! poisoned global, injected chaos — may not recur), and if it panics
 //! again reports a structured [`JobError`] for that slot while every
-//! other job completes normally. A panic inside a multi-lane batch
-//! falls back to running each member solo (each with the usual
-//! retry-once semantics), so one poisoned lane never takes its
-//! batch-mates down with it.
-//!
-//! [`LaneBatch`]: mds_core::LaneBatch
+//! other job completes normally.
 
 use crate::faults::{FaultPlan, FaultSite};
 use mds_core::{CoreConfig, SimResult, Simulator, TraceArtifacts};
@@ -63,73 +53,18 @@ pub(super) struct JobDone {
     /// The simulation result, or the structured error if the job
     /// panicked on both attempts.
     pub outcome: Result<SimResult, JobError>,
-    /// Whether the job panicked once *solo* and was re-run (batch-level
-    /// panics are reported through [`ExecReport::lane_fallbacks`]
-    /// instead).
+    /// Whether the job panicked once and was re-run.
     pub retried: bool,
     /// Nanoseconds between `run_jobs` entry and a worker claiming this
-    /// job's batch — the queue-wait observability layers attribute per
-    /// config.
+    /// job — the queue-wait observability layers attribute per config.
     pub start_offset_ns: u64,
-    /// Simulation wall-clock nanoseconds. For a multi-lane batch this
-    /// is the member's share of the batch's wall time (quotient, with
-    /// the remainder charged to the first member, so per-config costs
-    /// sum exactly to measured batch cost).
+    /// Measured wall-clock nanoseconds of this job's simulation,
+    /// including a retry.
     pub nanos: u64,
-    /// Dense id of the batch this job was dispatched in — shared by all
-    /// its lanes, so span consumers can reassemble batches.
-    pub batch_id: u64,
-    /// Lanes in the run that actually produced this result: the batch
-    /// width, or 1 for a solo run — including a solo fallback after a
-    /// batch panic.
-    pub lane_width: usize,
 }
 
-/// Everything [`run_jobs`] did: per-job outcomes in job order, plus
-/// batch-level accounting the runner folds into [`RunnerStats`].
-///
-/// [`RunnerStats`]: crate::RunnerStats
-pub(super) struct ExecReport {
-    /// One entry per job, in submission order.
-    pub done: Vec<JobDone>,
-    /// Lane batches dispatched (width-1 batches included).
-    pub lane_batches: u64,
-    /// Multi-lane batches that panicked mid-flight and re-ran every
-    /// member solo.
-    pub lane_fallbacks: u64,
-    /// Histogram of dispatched batch widths: bucket `i` counts batches
-    /// of width `i + 1`; the last bucket collects widths ≥ 8.
-    pub lane_width_hist: [u64; 8],
-}
-
-/// Groups job indices into lane batches: jobs sharing a key (the
-/// trace's identity — only same-trace jobs can share a lane batch) are
-/// chunked into runs of at most `lane_width`, groups ordered by first
-/// appearance and members kept in submission order, so the batch layout
-/// is a pure function of the key sequence and the width.
-pub(super) fn form_batches(keys: &[u64], lane_width: usize) -> Vec<Vec<usize>> {
-    let width = lane_width.max(1);
-    let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
-    for (i, &key) in keys.iter().enumerate() {
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, members)) => members.push(i),
-            None => groups.push((key, vec![i])),
-        }
-    }
-    groups
-        .into_iter()
-        .flat_map(|(_, members)| {
-            members
-                .chunks(width)
-                .map(<[usize]>::to_vec)
-                .collect::<Vec<_>>()
-        })
-        .collect()
-}
-
-/// Runs one solo simulation attempt, catching a panic (organic, or
-/// injected via the `worker_panic` fault site just before the simulator
-/// runs).
+/// Runs one simulation attempt, catching a panic (organic, or injected
+/// via the `worker_panic` fault site just before the simulator runs).
 fn attempt(job: &Job<'_>, faults: &FaultPlan) -> Result<SimResult, JobError> {
     catch_unwind(AssertUnwindSafe(|| {
         if let Some(f) = faults.fire(FaultSite::WorkerPanic) {
@@ -150,13 +85,12 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Runs one job solo — with one retry after a panic — returning its
-/// outcome, its start offset relative to `wave_start`, and its
-/// wall-clock nanoseconds.
-fn run_one(job: &Job<'_>, wave_start: Instant, faults: &FaultPlan, batch_id: u64) -> JobDone {
+/// Runs one job — with one retry after a panic — returning its outcome,
+/// its start offset relative to `wave_start`, and its wall-clock
+/// nanoseconds.
+fn run_one(job: &Job<'_>, wave_start: Instant, faults: &FaultPlan) -> JobDone {
     let start = Instant::now();
-    let first = attempt(job, faults);
-    let (outcome, retried) = match first {
+    let (outcome, retried) = match attempt(job, faults) {
         Ok(result) => (Ok(result), false),
         Err(_) => (attempt(job, faults), true),
     };
@@ -165,237 +99,48 @@ fn run_one(job: &Job<'_>, wave_start: Instant, faults: &FaultPlan, batch_id: u64
         retried,
         start_offset_ns: start.duration_since(wave_start).as_nanos() as u64,
         nanos: start.elapsed().as_nanos() as u64,
-        batch_id,
-        lane_width: 1,
     }
 }
 
-/// Runs one batch: a single lane-batched pass for multi-lane batches, a
-/// plain solo run for width-1 batches. Returns the members' outcomes
-/// (tagged with their job indices) and whether a batch panic forced a
-/// solo fallback.
-fn run_batch(
-    jobs: &[Job<'_>],
-    members: &[usize],
-    batch_id: u64,
-    wave_start: Instant,
-    faults: &FaultPlan,
-) -> (Vec<(usize, JobDone)>, bool) {
-    if let [only] = *members {
-        return (
-            vec![(only, run_one(&jobs[only], wave_start, faults, batch_id))],
-            false,
-        );
-    }
-    let first = &jobs[members[0]];
-    debug_assert!(
-        members
-            .iter()
-            .all(|&i| std::ptr::eq(jobs[i].trace, first.trace)),
-        "lane batch mixes traces"
-    );
-    let start = Instant::now();
-    let start_offset_ns = start.duration_since(wave_start).as_nanos() as u64;
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        // One worker-panic consultation per lane, mirroring the one
-        // fire-per-simulation-attempt arithmetic of the solo path, so
-        // `nth:`/`every:` chaos triggers keep their occurrence counts.
-        for _ in members {
-            if let Some(f) = faults.fire(FaultSite::WorkerPanic) {
-                panic!("injected fault: {}", f.site.name());
-            }
-        }
-        let configs: Vec<CoreConfig> = members.iter().map(|&i| jobs[i].config.clone()).collect();
-        Simulator::run_lanes(first.trace, &first.artifacts, &configs)
-    }));
-    match attempt {
-        Ok(results) => {
-            let total = start.elapsed().as_nanos() as u64;
-            let share = total / members.len() as u64;
-            let remainder = total - share * members.len() as u64;
-            let done = members
-                .iter()
-                .zip(results)
-                .enumerate()
-                .map(|(lane, (&i, result))| {
-                    (
-                        i,
-                        JobDone {
-                            outcome: Ok(result),
-                            retried: false,
-                            start_offset_ns,
-                            nanos: share + if lane == 0 { remainder } else { 0 },
-                            batch_id,
-                            lane_width: members.len(),
-                        },
-                    )
-                })
-                .collect();
-            (done, false)
-        }
-        Err(_) => {
-            // The batch is poisoned — one lane panicked mid-lockstep and
-            // every lane's state is suspect. Re-run each member solo
-            // (with the usual retry-once semantics) so one bad lane
-            // costs its batch-mates a re-run, never their results.
-            let done = members
-                .iter()
-                .map(|&i| (i, run_one(&jobs[i], wave_start, faults, batch_id)))
-                .collect();
-            (done, true)
-        }
-    }
-}
-
-/// Executes `jobs` on up to `threads` scoped worker threads as lane
-/// batches of at most `lane_width` same-trace configs, returning one
-/// [`JobDone`] per job **in job order** plus batch accounting.
+/// Executes `jobs` on up to `threads` scoped worker threads, returning
+/// one [`JobDone`] per job **in job order**.
 ///
-/// `Simulator` is deterministic and stateless across runs, and lanes
-/// within a batch share nothing mutable, so the output is identical
-/// whatever the thread count, lane width, or completion order —
+/// `Simulator` is deterministic and stateless across runs, so the
+/// output is identical whatever the thread count or completion order —
 /// `threads == 1` simply runs inline on the caller's thread.
-pub(super) fn run_jobs(
-    jobs: &[Job<'_>],
-    threads: usize,
-    faults: &FaultPlan,
-    lane_width: usize,
-) -> ExecReport {
-    // Group by trace identity: pointer equality is exact (the runner
-    // hands every same-benchmark job the same `&Trace`), cheaper than
-    // re-fingerprinting, and collision-free.
-    let keys: Vec<u64> = jobs
-        .iter()
-        .map(|j| std::ptr::from_ref(j.trace) as u64)
-        .collect();
-    let batches = form_batches(&keys, lane_width);
-    let mut report = ExecReport {
-        done: Vec::new(),
-        lane_batches: batches.len() as u64,
-        lane_fallbacks: 0,
-        lane_width_hist: [0; 8],
-    };
-    for batch in &batches {
-        report.lane_width_hist[batch.len().min(8) - 1] += 1;
-    }
-    let threads = threads.max(1).min(batches.len().max(1));
+pub(super) fn run_jobs(jobs: &[Job<'_>], threads: usize, faults: &FaultPlan) -> Vec<JobDone> {
+    let threads = threads.max(1).min(jobs.len().max(1));
     let wave_start = Instant::now();
+    if threads == 1 {
+        return jobs
+            .iter()
+            .map(|job| run_one(job, wave_start, faults))
+            .collect();
+    }
 
     let mut slots: Vec<Option<JobDone>> = Vec::new();
     slots.resize_with(jobs.len(), || None);
-    if threads == 1 {
-        for (batch_id, members) in batches.iter().enumerate() {
-            let (done, fell_back) = run_batch(jobs, members, batch_id as u64, wave_start, faults);
-            report.lane_fallbacks += u64::from(fell_back);
-            for (i, d) in done {
-                slots[i] = Some(d);
-            }
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let batches = &batches;
-                scope.spawn(move || loop {
-                    let b = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(members) = batches.get(b) else { break };
-                    let outcome = run_batch(jobs, members, b as u64, wave_start, faults);
-                    if tx.send(outcome).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            for (done, fell_back) in rx {
-                report.lane_fallbacks += u64::from(fell_back);
-                for (i, d) in done {
-                    slots[i] = Some(d);
+    let cursor = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            let tx = tx.clone();
+            let cursor = &cursor;
+            scope.spawn(move || loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else { break };
+                if tx.send((i, run_one(job, wave_start, faults))).is_err() {
+                    break;
                 }
-            }
-        });
-    }
-    report.done = slots
+            });
+        }
+        drop(tx);
+        for (i, done) in rx {
+            slots[i] = Some(done);
+        }
+    });
+    slots
         .into_iter()
         .map(|s| s.expect("every job reports exactly once"))
-        .collect();
-    report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::form_batches;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Batch formation is a partition: every job index appears in
-        /// exactly one batch, no batch exceeds the width or mixes keys,
-        /// and group-local submission order is preserved — for any key
-        /// sequence and any width.
-        #[test]
-        fn formation_partitions_jobs_exactly(
-            keys in proptest::collection::vec(0u64..5, 0..40),
-            width in 0usize..9,
-        ) {
-            let batches = form_batches(&keys, width);
-            let mut seen: Vec<usize> = batches.iter().flatten().copied().collect();
-            seen.sort_unstable();
-            prop_assert_eq!(
-                &seen,
-                &(0..keys.len()).collect::<Vec<_>>(),
-                "every job in exactly one batch"
-            );
-            for batch in &batches {
-                prop_assert!(!batch.is_empty());
-                prop_assert!(batch.len() <= width.max(1));
-                prop_assert!(
-                    batch.iter().all(|&i| keys[i] == keys[batch[0]]),
-                    "a batch never mixes keys"
-                );
-                prop_assert!(
-                    batch.windows(2).all(|w| w[0] < w[1]),
-                    "members keep submission order"
-                );
-            }
-            // Determinism: the layout is a pure function of its inputs.
-            prop_assert_eq!(batches, form_batches(&keys, width));
-        }
-    }
-
-    #[test]
-    fn batches_group_by_key_and_chunk_to_width() {
-        // Keys: two interleaved traces.
-        let keys = [10, 20, 10, 20, 10, 10, 20];
-        let batches = form_batches(&keys, 3);
-        assert_eq!(batches, vec![vec![0, 2, 4], vec![5], vec![1, 3, 6]]);
-        // Width 1 degenerates to one solo batch per job, group-ordered.
-        let solo = form_batches(&keys, 1);
-        assert_eq!(
-            solo,
-            vec![
-                vec![0],
-                vec![2],
-                vec![4],
-                vec![5],
-                vec![1],
-                vec![3],
-                vec![6]
-            ]
-        );
-        // Width 0 is treated as 1.
-        assert_eq!(form_batches(&keys, 0), solo);
-    }
-
-    #[test]
-    fn batch_formation_is_exhaustive_and_ordered() {
-        let keys = [7, 7, 7, 7, 7];
-        for width in 1..=6 {
-            let batches = form_batches(&keys, width);
-            let flat: Vec<usize> = batches.iter().flatten().copied().collect();
-            assert_eq!(flat, vec![0, 1, 2, 3, 4], "width {width}");
-            assert!(batches.iter().all(|b| b.len() <= width));
-        }
-    }
+        .collect()
 }

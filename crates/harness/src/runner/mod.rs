@@ -60,7 +60,6 @@ use std::sync::Mutex;
 pub struct Runner {
     suite: Suite,
     jobs: usize,
-    lane_width: usize,
     cache: SimCache,
     disk: Option<DiskCache>,
     durable: bool,
@@ -74,18 +73,7 @@ pub struct Runner {
     faults_synced: [AtomicU64; FaultSite::ALL.len()],
     job_retries: AtomicU64,
     job_failures: AtomicU64,
-    lane_batches: AtomicU64,
-    lane_fallbacks: AtomicU64,
-    lane_peeled_hits: AtomicU64,
-    lane_width_hist: [AtomicU64; 8],
 }
-
-/// Default number of same-trace configurations simulated per lane
-/// batch. Wide enough to amortize the shared trace/artifact traversal,
-/// narrow enough that N machines' mutable state (window, store buffer,
-/// predictors) still fits comfortably in cache alongside the shared
-/// read-only data.
-pub const DEFAULT_LANE_WIDTH: usize = 4;
 
 impl Runner {
     /// Wraps a suite with the thread count from
@@ -103,7 +91,6 @@ impl Runner {
         Runner {
             suite,
             jobs,
-            lane_width: DEFAULT_LANE_WIDTH,
             cache: SimCache::default(),
             disk: None,
             durable: false,
@@ -115,10 +102,6 @@ impl Runner {
             faults_synced: Default::default(),
             job_retries: AtomicU64::new(0),
             job_failures: AtomicU64::new(0),
-            lane_batches: AtomicU64::new(0),
-            lane_fallbacks: AtomicU64::new(0),
-            lane_peeled_hits: AtomicU64::new(0),
-            lane_width_hist: Default::default(),
         }
     }
 
@@ -187,26 +170,6 @@ impl Runner {
             jobs
         };
         self
-    }
-
-    /// Overrides the lane width — the maximum number of same-trace
-    /// configurations simulated together in one [`mds_core::LaneBatch`]
-    /// pass; `0` restores [`DEFAULT_LANE_WIDTH`] and `1` disables
-    /// batching (every job runs solo). Results are byte-identical at
-    /// every width; only throughput changes.
-    #[must_use]
-    pub fn with_lane_width(mut self, width: usize) -> Runner {
-        self.lane_width = if width == 0 {
-            DEFAULT_LANE_WIDTH
-        } else {
-            width
-        };
-        self
-    }
-
-    /// The configured lane width.
-    pub fn lane_width(&self) -> usize {
-        self.lane_width
     }
 
     /// Attaches a JSONL [`TraceSink`]: every simulation and cache hit
@@ -441,12 +404,6 @@ impl Runner {
         for (benchmark, config, key) in requests {
             if self.cache.contains(benchmark, key) || !scheduled.insert((benchmark, key)) {
                 self.cache.count_hit();
-                if self.lane_width > 1 {
-                    // A hit a lane batch never sees: peeled before the
-                    // batch forms, so width accounting stays truthful.
-                    self.lane_peeled_hits.fetch_add(1, Ordering::Relaxed);
-                    self.observe(|r| r.incr("runner.lane_peeled_hits"));
-                }
                 self.observe(|r| r.incr("cache.memory_hits"));
                 if let Some(sink) = &self.trace {
                     sink.event(
@@ -495,10 +452,6 @@ impl Runner {
                 if let Some(result) = loaded {
                     let read_ns = self.spans.now_ns().saturating_sub(read_start);
                     self.cache.count_hit();
-                    if self.lane_width > 1 {
-                        self.lane_peeled_hits.fetch_add(1, Ordering::Relaxed);
-                        self.observe(|r| r.incr("runner.lane_peeled_hits"));
-                    }
                     self.cache.insert_loaded(benchmark, key.clone(), result);
                     self.observe(|r| {
                         r.incr("cache.disk_hits");
@@ -565,39 +518,17 @@ impl Runner {
             }
         }
         let wave_start_ns = self.spans.now_ns();
-        let report = exec::run_jobs(&pending, self.jobs, &self.faults, self.lane_width);
+        let done = exec::run_jobs(&pending, self.jobs, &self.faults);
         self.observe(|r| r.set_gauge("runner.queue_depth", 0.0));
-        if report.lane_batches > 0 {
-            self.lane_batches
-                .fetch_add(report.lane_batches, Ordering::Relaxed);
-            self.lane_fallbacks
-                .fetch_add(report.lane_fallbacks, Ordering::Relaxed);
-            for (i, &n) in report.lane_width_hist.iter().enumerate() {
-                self.lane_width_hist[i].fetch_add(n, Ordering::Relaxed);
-            }
-            self.observe(|r| {
-                r.add("runner.lane_batches", report.lane_batches);
-                if report.lane_fallbacks > 0 {
-                    r.add("runner.lane_fallbacks", report.lane_fallbacks);
-                }
-                for (i, &n) in report.lane_width_hist.iter().enumerate() {
-                    for _ in 0..n {
-                        r.record("runner.lane_width", i as u64 + 1);
-                    }
-                }
-            });
-        }
         let mut failures: Vec<String> = Vec::new();
         for ((benchmark, key, enqueue_ns, built, build_nanos), job_done) in
-            pending_meta.into_iter().zip(report.done)
+            pending_meta.into_iter().zip(done)
         {
             let exec::JobDone {
                 outcome,
                 retried,
                 start_offset_ns,
                 nanos,
-                batch_id,
-                lane_width,
             } = job_done;
             if retried {
                 self.job_retries.fetch_add(1, Ordering::Relaxed);
@@ -687,11 +618,8 @@ impl Runner {
                     self.spans
                         .record("queue_wait", cr_id, enqueue_ns, queue_wait_ns, vec![]);
                 sink.emit_span(&queue_wait).expect("writing JSONL trace");
-                // One simulate span per lane, not per batch: `wall_ns`
-                // is this config's share of its batch's wall time, and
-                // the shared `batch` id lets consumers reassemble the
-                // batch — so `mds-report spans` per-config tables stay
-                // truthful under lane batching.
+                // `wall_ns` is this config's own measured simulation
+                // time.
                 let simulate = self.spans.record(
                     "simulate",
                     cr_id,
@@ -703,8 +631,6 @@ impl Runner {
                             "skipped_cycles".to_string(),
                             Value::UInt(result.skipped_cycles),
                         ),
-                        ("batch".to_string(), Value::UInt(batch_id)),
-                        ("lane_width".to_string(), Value::UInt(lane_width as u64)),
                     ],
                 );
                 sink.emit_span(&simulate).expect("writing JSONL trace");
@@ -808,12 +734,7 @@ impl Runner {
         stats.job_retries = self.job_retries.load(Ordering::Relaxed);
         stats.job_failures = self.job_failures.load(Ordering::Relaxed);
         stats.faults_injected = self.faults.total_injected();
-        stats.lane_batches = self.lane_batches.load(Ordering::Relaxed);
-        stats.lane_fallbacks = self.lane_fallbacks.load(Ordering::Relaxed);
-        stats.lane_peeled_hits = self.lane_peeled_hits.load(Ordering::Relaxed);
-        for (i, slot) in self.lane_width_hist.iter().enumerate() {
-            stats.lane_width_hist[i] = slot.load(Ordering::Relaxed);
-        }
+        stats.lane_batches = stats.simulations + stats.job_failures;
         stats
     }
 

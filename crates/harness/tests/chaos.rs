@@ -158,40 +158,19 @@ fn torn_write_orphan_is_recovered_on_next_open() {
 }
 
 #[test]
-fn single_worker_panic_falls_back_to_an_identical_result() {
-    // Under the default lane width the four pairs form two two-lane
-    // batches. The single injected panic poisons exactly one batch,
-    // which re-runs its members solo — so the fault shows up as one
-    // lane fallback (not a job retry) and every result still lands.
+fn single_worker_panic_retries_to_an_identical_result() {
+    // The panicked job is retried in place, once, and every result
+    // still lands.
     let runner = Runner::new(suite())
         .with_jobs(2)
-        .with_faults(FaultPlan::parse("worker_panic=nth:2").unwrap());
-    let results = runner.run_pairs(&pairs()).unwrap();
-    assert_eq!(fingerprint(&results), baseline(), "results must not change");
-    let stats = runner.stats();
-    assert_eq!(stats.lane_fallbacks, 1, "one poisoned batch fell back");
-    assert_eq!(stats.job_retries, 0, "the solo re-runs succeeded first try");
-    assert_eq!(stats.job_failures, 0);
-    assert_eq!(stats.simulations, 4);
-    assert_eq!(stats.faults_injected, 1);
-    assert_eq!(runner.obs_snapshot().counter("runner.lane_fallbacks"), 1);
-}
-
-#[test]
-fn single_worker_panic_retries_to_an_identical_result_without_lanes() {
-    // Lane width 1 preserves the original solo semantics: the panicked
-    // job is retried in place, once.
-    let runner = Runner::new(suite())
-        .with_jobs(2)
-        .with_lane_width(1)
         .with_faults(FaultPlan::parse("worker_panic=nth:2").unwrap());
     let results = runner.run_pairs(&pairs()).unwrap();
     assert_eq!(fingerprint(&results), baseline(), "results must not change");
     let stats = runner.stats();
     assert_eq!(stats.job_retries, 1);
     assert_eq!(stats.job_failures, 0);
-    assert_eq!(stats.lane_fallbacks, 0);
     assert_eq!(stats.simulations, 4);
+    assert_eq!(stats.faults_injected, 1);
     assert_eq!(runner.obs_snapshot().counter("runner.job_retries"), 1);
 }
 

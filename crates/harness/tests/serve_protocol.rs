@@ -258,6 +258,37 @@ fn oversized_request_line_is_rejected_without_killing_the_connection() {
 }
 
 #[test]
+fn deeply_nested_request_is_rejected_without_killing_the_server() {
+    let server = Server::spawn("nest", &[]);
+
+    let stream = UnixStream::connect(&server.socket).expect("connecting");
+    let mut writer = stream.try_clone().expect("cloning stream");
+    let mut reader = BufReader::new(stream);
+    let mut exchange = |line: &str| -> Value {
+        writeln!(writer, "{line}").expect("writing request");
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("reading response");
+        Value::parse_json(response.trim_end()).expect("parsing response JSON")
+    };
+
+    // Under the line cap, but far deeper than the parser recurses.
+    let rejected = exchange(&"[".repeat(500_000));
+    assert_eq!(rejected.get("ok").unwrap().as_bool(), Some(false));
+    let error = rejected.get("error").unwrap().as_str().unwrap();
+    assert!(
+        error.starts_with("bad request JSON: nesting too deep"),
+        "{error}"
+    );
+
+    // The same connection keeps working afterwards.
+    let pong = exchange("{\"op\":\"ping\"}");
+    assert_eq!(pong.get("ok").unwrap().as_bool(), Some(true));
+    assert!(metric(&server.socket, "requests.op.invalid") >= 1);
+
+    server.shutdown_and_wait();
+}
+
+#[test]
 fn slow_client_is_timed_out_and_counted() {
     // A read timeout far below the test's patience: the slowloris
     // connection writes half a request and stalls.
