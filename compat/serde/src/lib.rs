@@ -53,8 +53,9 @@ impl Value {
             Value::Int(i) => out.push_str(&i.to_string()),
             Value::UInt(u) => out.push_str(&u.to_string()),
             Value::Float(f) if f.is_finite() => {
-                // Keep integral floats readable but unambiguous.
-                if f.fract() == 0.0 && f.abs() < 1e15 {
+                // Integral floats keep a `.0` so they read back as
+                // floats; `{f}` never uses exponent notation.
+                if f.fract() == 0.0 {
                     out.push_str(&format!("{f:.1}"));
                 } else {
                     out.push_str(&format!("{f}"));
@@ -163,6 +164,13 @@ impl Value {
     /// [`Value::Float`]. Duplicate object keys are kept in order, as
     /// the tree preserves field order generally.
     ///
+    /// Only RFC 8259 JSON is accepted: numbers must match
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, a `\u` escape
+    /// takes exactly four hex digits, and strings may not hold raw
+    /// control characters (U+0000–U+001F). [`Value::to_json`] never
+    /// emits any of those forms. Parsing takes time linear in the
+    /// length of `text`.
+    ///
     /// # Errors
     ///
     /// Returns a message with the byte offset of the first syntax
@@ -170,14 +178,14 @@ impl Value {
     /// arrays and objects nested more than [`MAX_NESTING`] deep.
     pub fn parse_json(text: &str) -> Result<Value, String> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
+            text,
             pos: 0,
             depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(format!("trailing characters at byte {}", p.pos));
         }
         Ok(v)
@@ -189,9 +197,12 @@ impl Value {
 /// line of `[`s overflows the stack and aborts the process.
 pub const MAX_NESTING: usize = 128;
 
-/// A minimal recursive-descent JSON reader over raw bytes.
+/// A minimal recursive-descent JSON reader. It keeps the input as
+/// `&str` and only ever stops at ASCII bytes, so every slice it takes
+/// falls on a char boundary and nothing is re-validated as UTF-8.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset of the next unread byte.
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
@@ -199,13 +210,13 @@ struct Parser<'a> {
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -218,7 +229,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -304,6 +315,16 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy everything up to the next quote, backslash or control
+            // byte in one piece. Those stop bytes are ASCII, so the run
+            // ends on a char boundary.
+            let rest = &self.text.as_bytes()[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
@@ -346,26 +367,24 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one whole UTF-8 scalar (input is &str, so
-                    // slicing at char boundaries is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "bad utf-8".to_string())?;
-                    let c = s.chars().next().expect("peeked a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    return Err(format!("control character in string at byte {}", self.pos));
                 }
             }
         }
     }
 
+    /// Exactly four hex digits (no sign, unlike `u32::from_str_radix`).
     fn hex4(&mut self) -> Result<u32, String> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err("truncated unicode escape".to_string());
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| "bad unicode escape".to_string())?;
-        let cp = u32::from_str_radix(hex, 16).map_err(|_| "bad unicode escape".to_string())?;
+        let digits = self
+            .text
+            .as_bytes()
+            .get(self.pos..end)
+            .ok_or_else(|| "truncated unicode escape".to_string())?;
+        let cp = digits
+            .iter()
+            .try_fold(0, |cp, &d| Some(cp * 16 + char::from(d).to_digit(16)?))
+            .ok_or_else(|| "bad unicode escape".to_string())?;
         self.pos = end;
         Ok(cp)
     }
@@ -386,8 +405,11 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "bad number".to_string())?;
+        // Every byte scanned is ASCII, so this slice is on char bounds.
+        let text = &self.text[start..self.pos];
+        if !is_rfc8259_number(text.as_bytes()) {
+            return Err(format!("bad number {text:?} at byte {start}"));
+        }
         if fractional {
             let f: f64 = text
                 .parse()
@@ -408,6 +430,37 @@ impl Parser<'_> {
             Ok(Value::UInt(u))
         }
     }
+}
+
+/// Whether `s` matches RFC 8259's number grammar,
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`. Rust's own float
+/// parser also takes `1.`, `.5` and `+1`, and its integer parsers take
+/// leading zeros.
+fn is_rfc8259_number(s: &[u8]) -> bool {
+    let digits = |from: usize| s[from..].iter().take_while(|b| b.is_ascii_digit()).count();
+    let mut i = usize::from(s.first() == Some(&b'-'));
+    match s.get(i) {
+        Some(b'0') => i += 1,
+        Some(b'1'..=b'9') => i += 1 + digits(i + 1),
+        _ => return false,
+    }
+    if s.get(i) == Some(&b'.') {
+        match digits(i + 1) {
+            0 => return false,
+            n => i += 1 + n,
+        }
+    }
+    if let Some(b'e' | b'E') = s.get(i) {
+        i += 1;
+        if let Some(b'+' | b'-') = s.get(i) {
+            i += 1;
+        }
+        match digits(i) {
+            0 => return false,
+            n => i += n,
+        }
+    }
+    i == s.len()
 }
 
 fn write_json_string(s: &str, out: &mut String) {
@@ -617,10 +670,62 @@ mod tests {
             "{} extra",
             "[01x]",
             "\"\\u12\"",
+            "\"\\u+041\"",
             "nul",
             "{\"a\" 1}",
+            "007",
+            "-.5",
+            "1.",
+            "1.e5",
+            "\"a\u{0}b\"",
+            "\"tab\there\"",
+            "\"line\nbreak\"",
+            "\"\u{1f}\"",
         ] {
             assert!(Value::parse_json(bad).is_err(), "{bad:?} should not parse");
+        }
+    }
+
+    #[test]
+    fn parse_accepts_every_rfc8259_number_form() {
+        for (text, value) in [
+            ("0", Value::UInt(0)),
+            ("-0", Value::Int(0)),
+            ("10", Value::UInt(10)),
+            ("-7", Value::Int(-7)),
+            ("0.5", Value::Float(0.5)),
+            ("-0.5", Value::Float(-0.5)),
+            ("1e3", Value::Float(1000.0)),
+            ("1E+3", Value::Float(1000.0)),
+            ("2.5e-1", Value::Float(0.25)),
+        ] {
+            assert_eq!(Value::parse_json(text), Ok(value), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn parse_is_linear_in_string_length() {
+        // Quadratic scanning took tens of seconds on this input; linear
+        // scanning takes milliseconds even in a debug build.
+        let body = "ab\"\\\u{e9}\u{2200}\u{1F600}\n".repeat((1 << 20) / 16);
+        let line = Value::Str(body.clone()).to_json();
+        assert!(line.len() >= 1 << 20);
+        let start = std::time::Instant::now();
+        let parsed = Value::parse_json(&line);
+        let took = start.elapsed();
+        assert_eq!(parsed, Ok(Value::Str(body)));
+        assert!(
+            took < std::time::Duration::from_secs(2),
+            "parsing {} bytes took {took:?}",
+            line.len()
+        );
+    }
+
+    #[test]
+    fn integral_floats_of_any_size_round_trip() {
+        for f in [1e15, -1e15, 1e20, -1e20, 1e300, f64::MAX, -0.0] {
+            let json = Value::Float(f).to_json();
+            assert_eq!(Value::parse_json(&json), Ok(Value::Float(f)), "{json}");
         }
     }
 
@@ -655,5 +760,82 @@ mod tests {
         assert_eq!(v.get("b").unwrap().as_bool(), Some(false));
         assert_eq!(v.get("missing"), None);
         assert_eq!(Value::Null.get("x"), None);
+    }
+
+    mod roundtrip {
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestRng;
+
+        /// Random value trees nested at most `depth` levels deep.
+        ///
+        /// Only values that [`Value::to_json`] renders unambiguously
+        /// are drawn: `Int` is negative (a non-negative one reads back
+        /// as `UInt`) and floats are finite (others render as `null`).
+        struct Values {
+            depth: u32,
+        }
+
+        impl Strategy for Values {
+            type Value = Value;
+            fn new_value(&self, rng: &mut TestRng) -> Value {
+                value(rng, self.depth)
+            }
+        }
+
+        fn value(rng: &mut TestRng, depth: u32) -> Value {
+            let kinds = if depth == 0 { 6 } else { 8 };
+            match rng.below(kinds) {
+                0 => Value::Null,
+                1 => Value::Bool(rng.next_u64() & 1 == 1),
+                2 => Value::Int(-1 - (rng.next_u64() >> 1) as i64),
+                3 => Value::UInt(rng.next_u64()),
+                4 => {
+                    let f = f64::from_bits(rng.next_u64());
+                    Value::Float(if f.is_finite() { f } else { 0.5 })
+                }
+                5 => Value::Str(string(rng)),
+                6 => Value::Array((0..rng.below(4)).map(|_| value(rng, depth - 1)).collect()),
+                _ => Value::Object(
+                    (0..rng.below(4))
+                        .map(|_| (string(rng), value(rng, depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+
+        /// A string of pieces that stress the parser's run scanner:
+        /// printable ASCII runs, quotes, backslashes, control
+        /// characters, and 2-, 3- and 4-byte UTF-8 scalars.
+        fn string(rng: &mut TestRng) -> String {
+            let mut s = String::new();
+            for _ in 0..rng.below(8) {
+                match rng.below(7) {
+                    0 => (0..4).for_each(|_| s.push(scalar(rng, 0x20, 0x7F))),
+                    1 => s.push('"'),
+                    2 => s.push('\\'),
+                    3 => s.push(scalar(rng, 0x00, 0x1F)),
+                    4 => s.push(scalar(rng, 0x80, 0x7FF)),
+                    5 => s.push(scalar(rng, 0x800, 0xFFFF)),
+                    _ => s.push(scalar(rng, 0x1_0000, 0x10_FFFF)),
+                }
+            }
+            s
+        }
+
+        /// A scalar in `lo..=hi` (surrogates become U+FFFD).
+        fn scalar(rng: &mut TestRng, lo: u32, hi: u32) -> char {
+            let cp = lo + rng.below(u128::from(hi - lo + 1)) as u32;
+            char::from_u32(cp).unwrap_or('\u{FFFD}')
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn parse_inverts_to_json(v in Values { depth: 3 }) {
+                prop_assert_eq!(Value::parse_json(&v.to_json()), Ok(v));
+            }
+        }
     }
 }

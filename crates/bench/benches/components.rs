@@ -1,12 +1,15 @@
 //! Component micro-benchmarks: raw throughput of the substrate pieces.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mds_core::{OracleDeps, TraceArtifacts};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use mds_core::{CoreConfig, OracleDeps, TraceArtifacts};
 use mds_frontend::{Combined, DirectionPredictor};
+use mds_harness::{Runner, Suite};
 use mds_isa::{Interpreter, Trace, NUM_REGS};
 use mds_mem::{AccessKind, MemConfig, MemSystem, StoreBuffer};
-use mds_workloads::kernels;
+use mds_workloads::{kernels, Benchmark, SuiteParams};
+use serde::Value;
 use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 
 fn bench_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("component_cache");
@@ -184,9 +187,49 @@ fn bench_dependence_builds(c: &mut Criterion) {
     g.finish();
 }
 
+/// The first `.json` file under `dir`, searched depth first.
+fn first_json_file(dir: &Path) -> Option<PathBuf> {
+    for entry in std::fs::read_dir(dir).ok()? {
+        let path = entry.ok()?.path();
+        if path.is_dir() {
+            if let Some(found) = first_json_file(&path) {
+                return Some(found);
+            }
+        } else if path.extension().is_some_and(|e| e == "json") {
+            return Some(path);
+        }
+    }
+    None
+}
+
+/// The JSON reader on its two input shapes: a real disk-cache entry,
+/// as every warm cache hit parses one, and a 1 MiB line holding one
+/// string, the largest request `mds-serve` accepts.
+fn bench_parse_json(c: &mut Criterion) {
+    let dir = std::env::temp_dir().join(format!("mds-bench-parse-json-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let suite = Suite::generate(&[Benchmark::Compress], &SuiteParams::tiny()).expect("suite");
+    Runner::new(suite)
+        .with_cache_dir(&dir)
+        .run_pairs(&[(Benchmark::Compress, CoreConfig::paper_128())])
+        .expect("simulates");
+    let entry_path = first_json_file(&dir).expect("the run wrote a cache entry");
+    let entry = std::fs::read_to_string(entry_path).expect("reads the entry");
+    let _ = std::fs::remove_dir_all(&dir);
+    let line = Value::Str("a".repeat(1 << 20)).to_json();
+
+    let mut g = c.benchmark_group("component_parse_json");
+    g.sample_size(50);
+    for (name, text) in [("disk_entry", &entry), ("one_string_1mib", &line)] {
+        g.throughput(Throughput::Bytes(text.len() as u64));
+        g.bench_function(name, |b| b.iter(|| Value::parse_json(black_box(text))));
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = components;
     config = Criterion::default().measurement_time(std::time::Duration::from_secs(4)).configure_from_args();
-    targets = bench_cache, bench_store_buffer, bench_branch_predictor, bench_oracle_build, bench_dependence_builds
+    targets = bench_cache, bench_store_buffer, bench_branch_predictor, bench_oracle_build, bench_dependence_builds, bench_parse_json
 }
 criterion_main!(components);

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `mds-serve` daemon and `mds-load` client:
 //! real binaries, a real Unix socket, genuinely concurrent clients.
 
+use mds_harness::MAX_REQUEST_LINE;
 use serde::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -284,6 +285,39 @@ fn deeply_nested_request_is_rejected_without_killing_the_server() {
     let pong = exchange("{\"op\":\"ping\"}");
     assert_eq!(pong.get("ok").unwrap().as_bool(), Some(true));
     assert!(metric(&server.socket, "requests.op.invalid") >= 1);
+
+    server.shutdown_and_wait();
+}
+
+#[test]
+fn megabyte_string_request_is_parsed_in_linear_time() {
+    let server = Server::spawn("long", &[]);
+
+    let stream = UnixStream::connect(&server.socket).expect("connecting");
+    let mut writer = stream.try_clone().expect("cloning stream");
+    let mut reader = BufReader::new(stream);
+    let mut exchange = |line: &str| -> Value {
+        writeln!(writer, "{line}").expect("writing request");
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("reading response");
+        Value::parse_json(response.trim_end()).expect("parsing response JSON")
+    };
+
+    // Just under the line cap: one JSON string, which the server must
+    // parse in full before finding it is not a request object. A parser
+    // quadratic in string length spends seconds to minutes here.
+    let line = format!("\"{}\"", "a".repeat(MAX_REQUEST_LINE - 8));
+    let start = Instant::now();
+    let rejected = exchange(&line);
+    let took = start.elapsed();
+    assert_eq!(rejected.get("ok").unwrap().as_bool(), Some(false));
+    let error = rejected.get("error").unwrap().as_str().unwrap();
+    assert!(error.contains("no \"op\" field"), "{error}");
+    assert!(took < Duration::from_secs(5), "error reply took {took:?}");
+
+    // The same connection keeps working afterwards.
+    let pong = exchange("{\"op\":\"ping\"}");
+    assert_eq!(pong.get("ok").unwrap().as_bool(), Some(true));
 
     server.shutdown_and_wait();
 }
