@@ -8,7 +8,7 @@
 //! ```
 
 use mds_core::{CoreConfig, Policy, Recovery, WindowModel};
-use mds_harness::cli::{parse_benchmarks, parse_jobs, parse_scale};
+use mds_harness::cli::{check_config, parse_benchmarks, parse_jobs, parse_scale};
 use mds_harness::{geomean, Runner, Suite};
 use mds_workloads::{Benchmark, SuiteParams};
 use std::process::ExitCode;
@@ -91,6 +91,8 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other}\n{USAGE}")),
         }
     }
+    // The knobs checked do not depend on the policy or recovery.
+    check_config(&configure(&args, args.left, false))?;
     Ok(args)
 }
 

@@ -12,7 +12,7 @@
 //! in a different rotated order, and `--repeats` times over — so the
 //! requests overlap heavily in flight: the server must simulate each
 //! distinct (benchmark, config) pair exactly once and serve everything
-//! else from its cache or in-flight claims table.
+//! else from its cache or by waiting on the in-flight simulation.
 //!
 //! The client then verifies, against the server's own counters, that
 //! no duplicate work happened:

@@ -205,21 +205,10 @@ fn reproduce(args: ReproduceArgs) -> Result<(), String> {
         stats.artifact_builds,
         total_seconds,
     );
+    let mut finish = stats.report_fields();
+    finish.push(("total_seconds", Value::Float(total_seconds)));
     r.runner
-        .trace_event(
-            "run_finish",
-            &[
-                ("simulations", Value::UInt(stats.simulations)),
-                ("cache_hits", Value::UInt(stats.cache_hits)),
-                ("disk_hits", Value::UInt(stats.disk_hits)),
-                ("disk_writes", Value::UInt(stats.disk_writes)),
-                ("skipped_cycles", Value::UInt(stats.skipped_cycles)),
-                ("simulation_seconds", Value::Float(stats.sim_seconds())),
-                ("prep_seconds", Value::Float(stats.prep_seconds())),
-                ("artifact_builds", Value::UInt(stats.artifact_builds)),
-                ("total_seconds", Value::Float(total_seconds)),
-            ],
-        )
+        .trace_event("run_finish", &finish)
         .map_err(|e| format!("cannot write trace: {e}"))?;
     if let Some(sink) = r.runner.trace() {
         sink.flush()
@@ -367,7 +356,6 @@ impl Reproduce {
     /// Writes `BENCH_reproduce.json` (into `--out` when given, else the
     /// working directory) with per-experiment timings and cache stats.
     fn write_bench_record(&self, trace_seconds: f64, total_seconds: f64) -> Result<(), String> {
-        let stats = self.runner.stats();
         let experiments: Vec<Value> = self
             .timings
             .iter()
@@ -378,62 +366,21 @@ impl Reproduce {
                 ])
             })
             .collect();
-        let record = Value::Object(vec![
-            (
-                "benchmarks".to_string(),
-                Value::UInt(self.args.benchmarks.len() as u64),
-            ),
-            (
-                "dyn_target".to_string(),
-                Value::UInt(self.args.params.dyn_target),
-            ),
-            ("jobs".to_string(), Value::UInt(self.runner.jobs() as u64)),
-            (
-                "trace_generation_seconds".to_string(),
-                Value::Float(trace_seconds),
-            ),
-            ("total_seconds".to_string(), Value::Float(total_seconds)),
-            ("simulations".to_string(), Value::UInt(stats.simulations)),
-            ("cache_hits".to_string(), Value::UInt(stats.cache_hits)),
-            ("cache_hit_rate".to_string(), Value::Float(stats.hit_rate())),
-            ("disk_hits".to_string(), Value::UInt(stats.disk_hits)),
-            ("disk_writes".to_string(), Value::UInt(stats.disk_writes)),
-            (
-                "skipped_cycles".to_string(),
-                Value::UInt(stats.skipped_cycles),
-            ),
-            (
-                "simulation_seconds".to_string(),
-                Value::Float(stats.sim_seconds()),
-            ),
-            (
-                "prep_seconds".to_string(),
-                Value::Float(stats.prep_seconds()),
-            ),
-            (
-                "artifact_builds".to_string(),
-                Value::UInt(stats.artifact_builds),
-            ),
-            (
-                "disk_read_errors".to_string(),
-                Value::UInt(stats.disk_read_errors),
-            ),
-            (
-                "disk_write_errors".to_string(),
-                Value::UInt(stats.disk_write_errors),
-            ),
-            (
-                "orphans_removed".to_string(),
-                Value::UInt(stats.orphans_removed),
-            ),
-            ("job_retries".to_string(), Value::UInt(stats.job_retries)),
-            ("job_failures".to_string(), Value::UInt(stats.job_failures)),
-            (
-                "faults_injected".to_string(),
-                Value::UInt(stats.faults_injected),
-            ),
-            ("experiments".to_string(), Value::Array(experiments)),
-        ]);
+        let mut fields = vec![
+            ("benchmarks", Value::UInt(self.args.benchmarks.len() as u64)),
+            ("dyn_target", Value::UInt(self.args.params.dyn_target)),
+            ("jobs", Value::UInt(self.runner.jobs() as u64)),
+            ("trace_generation_seconds", Value::Float(trace_seconds)),
+            ("total_seconds", Value::Float(total_seconds)),
+        ];
+        fields.extend(self.runner.stats().report_fields());
+        fields.push(("experiments", Value::Array(experiments)));
+        let record = Value::Object(
+            fields
+                .into_iter()
+                .map(|(key, value)| (key.to_string(), value))
+                .collect(),
+        );
         let path = match &self.args.out {
             Some(dir) => dir.join("BENCH_reproduce.json"),
             None => std::path::PathBuf::from("BENCH_reproduce.json"),

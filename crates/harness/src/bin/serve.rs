@@ -227,15 +227,7 @@ fn serve(args: ServeArgs) -> Result<(), String> {
     );
     service
         .runner()
-        .trace_event(
-            "serve_finish",
-            &[
-                ("simulations", Value::UInt(stats.simulations)),
-                ("cache_hits", Value::UInt(stats.cache_hits)),
-                ("disk_hits", Value::UInt(stats.disk_hits)),
-                ("disk_writes", Value::UInt(stats.disk_writes)),
-            ],
-        )
+        .trace_event("serve_finish", &stats.report_fields())
         .map_err(|e| format!("cannot write trace: {e}"))?;
     if let Some(sink) = service.runner().trace() {
         sink.flush()
@@ -283,8 +275,9 @@ fn is_timeout(e: &std::io::Error) -> bool {
 ///
 /// With tracing attached, every request is wrapped in a `recv` span —
 /// from reading the line through flushing the response — that parents
-/// the service's `claim`/`dedup_join` spans and the runner's per-config
-/// span trees, so one request is one connected tree in the trace.
+/// the runner's `resolve` span, with its `claim`/`dedup_join` phases and
+/// per-config span trees, so one request is one connected tree in the
+/// trace.
 fn client_loop(
     service: &SweepService,
     stream: UnixStream,

@@ -3,9 +3,11 @@
 //! The binaries (`reproduce`, `compare`, `profile`) keep their I/O and
 //! orchestration, but everything that can be got wrong in parsing — the
 //! benchmark-name resolution rules, experiment-name validation, scale
-//! and job-count parsing — lives here where tests can reach it.
+//! and job-count parsing, the range of config knobs outside input may
+//! set — lives here where tests can reach it.
 
 use crate::faults::FaultPlan;
+use mds_core::{CoreConfig, WindowModel};
 use mds_workloads::{Benchmark, SuiteParams};
 use std::path::PathBuf;
 
@@ -399,6 +401,46 @@ pub fn parse_benchmarks(list: &str) -> Result<Vec<Benchmark>, String> {
     list.split(',').map(resolve_benchmark).collect()
 }
 
+/// Largest window, in entries, a request or flag may ask for.
+pub const MAX_WINDOW: usize = 4096;
+
+/// Largest address-scheduler latency, in cycles, a request or flag may
+/// ask for.
+pub const MAX_SCHED_LATENCY: u64 = 1024;
+
+/// Checks the config knobs that outside input sets — the sweep
+/// protocol's `window_size` and `addr_sched_latency`, `compare`'s
+/// `--window`, `--sched-latency` and `--split` — against the range the
+/// simulator is built for. Outside it a config deadlocks, divides by
+/// zero, or silently wraps to another config's row.
+///
+/// # Errors
+///
+/// Names the first knob out of range and its bounds.
+pub fn check_config(config: &CoreConfig) -> Result<(), String> {
+    let window = config.window_size;
+    if !(1..=MAX_WINDOW).contains(&window) {
+        return Err(format!("window size {window} is outside 1..={MAX_WINDOW}"));
+    }
+    let latency = config.addr_sched_latency;
+    if latency > MAX_SCHED_LATENCY {
+        return Err(format!(
+            "address-scheduler latency {latency} is outside 0..={MAX_SCHED_LATENCY}"
+        ));
+    }
+    if let WindowModel::Split { units, task_size } = config.window_model {
+        if units == 0 || units as usize > window {
+            return Err(format!(
+                "split units {units} is outside 1..={window} (the window size)"
+            ));
+        }
+        if task_size == 0 {
+            return Err("split task size must be at least 1".to_string());
+        }
+    }
+    Ok(())
+}
+
 /// Checks every name against [`EXPERIMENTS`].
 ///
 /// # Errors
@@ -641,6 +683,45 @@ mod tests {
         assert!(resolve_benchmark("nosuch")
             .unwrap_err()
             .contains("unknown benchmark"));
+    }
+
+    #[test]
+    fn config_knobs_outside_their_range_are_rejected() {
+        let base = CoreConfig::paper_128();
+        let split = |units, task_size| {
+            base.clone()
+                .with_window_model(WindowModel::Split { units, task_size })
+        };
+        // Everything the experiments and the benchmark send passes.
+        for window in [1, 32, 64, 128, 256, MAX_WINDOW] {
+            assert_eq!(check_config(&base.clone().with_window_size(window)), Ok(()));
+        }
+        for latency in [0, 1, 2, MAX_SCHED_LATENCY] {
+            let config = base.clone().with_addr_sched_latency(latency);
+            assert_eq!(check_config(&config), Ok(()));
+        }
+        assert_eq!(check_config(&split(4, 16)), Ok(()));
+        assert_eq!(check_config(&split(128, 1)), Ok(()));
+        // Out of range: each names its knob.
+        let rejected = [
+            (base.clone().with_window_size(0), "window size 0"),
+            (base.clone().with_window_size(MAX_WINDOW + 1), "window size"),
+            (
+                base.clone().with_addr_sched_latency(u64::MAX),
+                "address-scheduler latency",
+            ),
+            (
+                base.clone().with_addr_sched_latency(1 << 63),
+                "address-scheduler latency",
+            ),
+            (split(0, 16), "split units 0"),
+            (split(129, 16), "split units 129"),
+            (split(4, 0), "task size"),
+        ];
+        for (config, needle) in rejected {
+            let err = check_config(&config).unwrap_err();
+            assert!(err.contains(needle), "{err}");
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ mod table;
 pub use barchart::{BarChart, Group};
 pub use faults::{Fault, FaultPlan, FaultSite};
 pub use runner::{
-    geomean, int_fp_geomeans, ConfigKey, Runner, RunnerStats, SimCache, Suite, SweepService,
-    TraceSink, CACHE_SCHEMA_VERSION, MAX_REQUEST_LINE, PROTOCOL_VERSION,
+    geomean, int_fp_geomeans, ConfigKey, Runner, RunnerStats, Suite, SweepService, TraceSink,
+    CACHE_SCHEMA_VERSION, MAX_REQUEST_LINE, PROTOCOL_VERSION,
 };
 pub use table::{ipc, pct, pct4, speedup_pct, Align, TextTable};

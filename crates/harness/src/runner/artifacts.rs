@@ -12,7 +12,6 @@ use mds_core::TraceArtifacts;
 use mds_isa::Trace;
 use mds_workloads::Benchmark;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -22,8 +21,6 @@ use std::time::Instant;
 #[derive(Debug, Default)]
 pub(super) struct ArtifactCache {
     map: Mutex<HashMap<Benchmark, (Arc<TraceArtifacts>, u64)>>,
-    builds: AtomicU64,
-    prep_nanos: AtomicU64,
 }
 
 /// One artifact lookup's outcome: the shared bundle, whether this call
@@ -53,23 +50,11 @@ impl ArtifactCache {
         let start = Instant::now();
         let arts = TraceArtifacts::shared(trace);
         let nanos = start.elapsed().as_nanos() as u64;
-        self.prep_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.builds.fetch_add(1, Ordering::Relaxed);
         map.insert(benchmark, (Arc::clone(&arts), nanos));
         ArtifactLookup {
             artifacts: arts,
             built: true,
             build_nanos: nanos,
         }
-    }
-
-    /// Number of artifact bundles built (one per distinct benchmark).
-    pub fn builds(&self) -> u64 {
-        self.builds.load(Ordering::Relaxed)
-    }
-
-    /// Total nanoseconds spent building artifact bundles.
-    pub fn prep_nanos(&self) -> u64 {
-        self.prep_nanos.load(Ordering::Relaxed)
     }
 }

@@ -1,168 +1,178 @@
-//! Cross-experiment memoization of simulation results.
+//! Cross-experiment memoization of simulation results, and the claims
+//! that keep concurrent callers from simulating the same pair twice.
 
 use crate::runner::key::ConfigKey;
 use mds_core::SimResult;
 use mds_workloads::Benchmark;
-use serde::Serialize;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
+/// One (benchmark, config) request's state: claimed by a caller that is
+/// still producing its result, or finished.
+#[derive(Debug)]
+enum Entry {
+    Pending,
+    Done(Box<SimResult>),
+}
+
+/// How [`SimCache::claim`] found a request.
+pub(super) enum Claim {
+    /// The result is memoized.
+    Hit,
+    /// A caller holds the claim and is producing the result.
+    Busy,
+    /// The caller now holds the claim: it must publish the result or
+    /// release the claim.
+    Mine,
+}
+
+#[derive(Debug, Default)]
+struct Entries {
+    map: HashMap<ConfigKey, HashMap<Benchmark, Entry>>,
+    /// Number of [`Entry::Pending`] entries in `map`.
+    pending: usize,
+    /// Callers blocked in [`SimCache::wait`]; nobody is woken (a
+    /// syscall) when this is 0.
+    waiters: usize,
+}
+
+impl Entries {
+    fn get(&self, benchmark: Benchmark, key: &ConfigKey) -> Option<&Entry> {
+        self.map.get(key)?.get(&benchmark)
+    }
+}
 
 /// Memoizes [`SimResult`]s by (benchmark, [`ConfigKey`]) so that
 /// configurations shared across experiments — e.g. `NAS/NO`,
 /// `NAS/NAV`, and `NAS/ORACLE`, which fig1, fig2, fig6, summary, and
-/// table4 all revisit — are simulated exactly once per `reproduce`
-/// run.
+/// table4 all revisit — are simulated exactly once per process.
+///
+/// The same map holds in-flight claims, so one lock covers all request
+/// state: classifying a request as a memory hit, a claim on a miss, or
+/// a wait for another caller's claim is one lookup.
 #[derive(Debug, Default)]
-pub struct SimCache {
-    map: Mutex<HashMap<ConfigKey, HashMap<Benchmark, SimResult>>>,
-    hits: AtomicU64,
-    simulations: AtomicU64,
-    sim_nanos: AtomicU64,
-    skipped_cycles: AtomicU64,
+pub(super) struct SimCache {
+    entries: Mutex<Entries>,
+    landed: Condvar,
 }
 
 impl SimCache {
-    /// A memoized result, if present. Counts a hit when it is.
-    pub fn get(&self, benchmark: Benchmark, key: &ConfigKey) -> Option<SimResult> {
-        let map = self.map.lock().expect("cache poisoned");
-        let found = map
-            .get(key)
-            .and_then(|per_bench| per_bench.get(&benchmark))
-            .cloned();
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+    /// The map never holds a half-applied update, so a panic elsewhere
+    /// while the lock was held leaves it usable; claims must still be
+    /// released while a caller unwinds.
+    fn lock(&self) -> MutexGuard<'_, Entries> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Looks a request up, claiming it for the caller when absent.
+    pub fn claim(&self, benchmark: Benchmark, key: &ConfigKey) -> Claim {
+        let mut entries = self.lock();
+        match entries.get(benchmark, key) {
+            Some(Entry::Done(_)) => Claim::Hit,
+            Some(Entry::Pending) => Claim::Busy,
+            None => {
+                entries
+                    .map
+                    .entry(key.clone())
+                    .or_default()
+                    .insert(benchmark, Entry::Pending);
+                entries.pending += 1;
+                Claim::Mine
+            }
         }
-        found
     }
 
-    /// Whether a result is memoized, without counting a hit.
-    pub fn contains(&self, benchmark: Benchmark, key: &ConfigKey) -> bool {
-        let map = self.map.lock().expect("cache poisoned");
-        map.get(key)
-            .is_some_and(|per_bench| per_bench.contains_key(&benchmark))
+    /// Stores the result of a claimed request and wakes its waiters.
+    pub fn publish(&self, benchmark: Benchmark, key: &ConfigKey, result: SimResult) {
+        let mut entries = self.lock();
+        let entry = entries
+            .map
+            .get_mut(key)
+            .and_then(|per_bench| per_bench.get_mut(&benchmark))
+            .expect("only claimed requests are published");
+        debug_assert!(matches!(entry, Entry::Pending));
+        *entry = Entry::Done(Box::new(result));
+        entries.pending -= 1;
+        self.wake(entries);
     }
 
-    /// A memoized result without touching the hit counter — used when
-    /// assembling a batch's return value from entries the batch itself
-    /// already accounted for.
-    pub fn peek(&self, benchmark: Benchmark, key: &ConfigKey) -> Option<SimResult> {
-        let map = self.map.lock().expect("cache poisoned");
-        map.get(key)
-            .and_then(|per_bench| per_bench.get(&benchmark))
-            .cloned()
+    /// Drops claims that never got a result, so a waiter finds them
+    /// absent instead of blocking forever, and wakes every waiter.
+    pub fn release<'k>(&self, claims: impl Iterator<Item = (Benchmark, &'k ConfigKey)>) {
+        let mut entries = self.lock();
+        let Entries { map, pending, .. } = &mut *entries;
+        for (benchmark, key) in claims {
+            if let Some(per_bench) = map.get_mut(key) {
+                if matches!(per_bench.get(&benchmark), Some(Entry::Pending)) {
+                    per_bench.remove(&benchmark);
+                    *pending -= 1;
+                }
+            }
+        }
+        self.wake(entries);
     }
 
-    /// Records one freshly simulated result and its wall-clock cost.
-    pub fn insert(&self, benchmark: Benchmark, key: ConfigKey, result: SimResult, nanos: u64) {
-        self.simulations.fetch_add(1, Ordering::Relaxed);
-        self.sim_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.skipped_cycles
-            .fetch_add(result.skipped_cycles, Ordering::Relaxed);
-        let mut map = self.map.lock().expect("cache poisoned");
-        map.entry(key).or_default().insert(benchmark, result);
+    /// Unlocks, then wakes every waiter, if there is any.
+    fn wake(&self, entries: MutexGuard<'_, Entries>) {
+        let waiters = entries.waiters;
+        drop(entries);
+        if waiters > 0 {
+            self.landed.notify_all();
+        }
     }
 
-    /// Memoizes a result loaded from the persistent tier — counted as
-    /// neither a simulation nor (here) a hit; the runner counts the
-    /// disk hit itself.
-    pub fn insert_loaded(&self, benchmark: Benchmark, key: ConfigKey, result: SimResult) {
-        let mut map = self.map.lock().expect("cache poisoned");
-        map.entry(key).or_default().insert(benchmark, result);
+    /// Blocks until none of `requests` is claimed.
+    pub fn wait<'k>(&self, requests: impl Iterator<Item = (Benchmark, &'k ConfigKey)> + Clone) {
+        let mut entries = self.lock();
+        while requests
+            .clone()
+            .any(|(b, key)| matches!(entries.get(b, key), Some(Entry::Pending)))
+        {
+            entries.waiters += 1;
+            entries = self
+                .landed
+                .wait(entries)
+                .unwrap_or_else(PoisonError::into_inner);
+            entries.waiters -= 1;
+        }
     }
 
-    /// Drops every memoized result (the counters are preserved),
-    /// forcing subsequent requests to re-simulate — used by benchmarks
-    /// that must time fresh simulations on every iteration.
+    /// Whether a request has a finished result.
+    pub fn is_done(&self, benchmark: Benchmark, key: &ConfigKey) -> bool {
+        matches!(self.lock().get(benchmark, key), Some(Entry::Done(_)))
+    }
+
+    /// The memoized result of each request, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a request has no finished result: callers ask only
+    /// for requests they just resolved.
+    pub fn results<'k>(
+        &self,
+        requests: impl Iterator<Item = (Benchmark, &'k ConfigKey)>,
+    ) -> Vec<SimResult> {
+        let entries = self.lock();
+        requests
+            .map(|(b, key)| match entries.get(b, key) {
+                Some(Entry::Done(result)) => SimResult::clone(result),
+                _ => panic!("every resolved request is memoized"),
+            })
+            .collect()
+    }
+
+    /// Number of requests currently claimed.
+    pub fn pending(&self) -> usize {
+        self.lock().pending
+    }
+
+    /// Drops every memoized result, forcing subsequent requests to
+    /// re-simulate — used by benchmarks that must time fresh
+    /// simulations on every iteration. Claims in flight are kept.
     pub fn clear(&self) {
-        self.map.lock().expect("cache poisoned").clear();
-    }
-
-    /// Counts one request served from the cache.
-    pub fn count_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A snapshot of the counters (artifact counters are filled in by
-    /// the [`Runner`](crate::Runner), which owns the artifact cache).
-    pub fn stats(&self) -> RunnerStats {
-        RunnerStats {
-            cache_hits: self.hits.load(Ordering::Relaxed),
-            simulations: self.simulations.load(Ordering::Relaxed),
-            sim_nanos: self.sim_nanos.load(Ordering::Relaxed),
-            skipped_cycles: self.skipped_cycles.load(Ordering::Relaxed),
-            ..RunnerStats::default()
-        }
-    }
-}
-
-/// Counters describing what a [`Runner`](crate::Runner) actually did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct RunnerStats {
-    /// (benchmark, config) requests served from the cache.
-    pub cache_hits: u64,
-    /// Simulations actually executed.
-    pub simulations: u64,
-    /// Total wall-clock nanoseconds spent inside simulations, summed
-    /// over jobs (exceeds elapsed time when jobs run in parallel).
-    pub sim_nanos: u64,
-    /// Cycles the event-driven core fast-forwarded over instead of
-    /// executing, summed across executed simulations (cache hits
-    /// contribute nothing: their simulations already ran).
-    pub skipped_cycles: u64,
-    /// Trace-artifact bundles built (one per distinct benchmark; every
-    /// config after the first shares the memoized bundle).
-    pub artifact_builds: u64,
-    /// Nanoseconds spent building trace artifacts (oracle and register
-    /// dependences), counted apart from simulation time.
-    pub prep_nanos: u64,
-    /// Requests served from the persistent on-disk tier (also counted
-    /// in `cache_hits`, so `hit_rate` reflects every avoided
-    /// simulation).
-    pub disk_hits: u64,
-    /// Results written back to the persistent on-disk tier.
-    pub disk_writes: u64,
-    /// Disk-tier entry reads that failed with an I/O error and
-    /// degraded to re-simulation.
-    pub disk_read_errors: u64,
-    /// Disk-tier write-backs that failed and were dropped with a
-    /// warning (the result stays memoized in memory).
-    pub disk_write_errors: u64,
-    /// Orphaned `*.tmp` staging files deleted by the startup
-    /// crash-recovery sweep.
-    pub orphans_removed: u64,
-    /// Simulation jobs re-run after a single worker panic.
-    pub job_retries: u64,
-    /// Simulation jobs that panicked twice and failed with a
-    /// structured error.
-    pub job_failures: u64,
-    /// Faults injected by the armed [`FaultPlan`](crate::FaultPlan),
-    /// across every site (0 on production runs, whose plan is unarmed).
-    pub faults_injected: u64,
-    /// Simulation jobs dispatched to the executor: `simulations +
-    /// job_failures`. Kept, under its old name, because the pinned
-    /// benchmark reads it from the `stats` reply.
-    pub lane_batches: u64,
-}
-
-impl RunnerStats {
-    /// Fraction of requests served from the cache.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.simulations;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Total simulation time in seconds.
-    pub fn sim_seconds(&self) -> f64 {
-        self.sim_nanos as f64 / 1e9
-    }
-
-    /// Total artifact-preparation time in seconds.
-    pub fn prep_seconds(&self) -> f64 {
-        self.prep_nanos as f64 / 1e9
+        self.lock().map.retain(|_, per_bench| {
+            per_bench.retain(|_, entry| matches!(entry, Entry::Pending));
+            !per_bench.is_empty()
+        });
     }
 }

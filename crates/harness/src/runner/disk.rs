@@ -34,7 +34,6 @@ use mds_workloads::Benchmark;
 use serde::Value;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The persistent tier: a directory of self-verifying result entries.
 #[derive(Debug)]
@@ -45,11 +44,6 @@ pub(super) struct DiskCache {
     /// Write entries with [`emit::write_atomic_durable`] (fsync file
     /// and directory) instead of the buffered atomic write.
     durable: bool,
-    hits: AtomicU64,
-    writes: AtomicU64,
-    read_errors: AtomicU64,
-    write_errors: AtomicU64,
-    orphans_removed: AtomicU64,
 }
 
 impl DiskCache {
@@ -59,11 +53,6 @@ impl DiskCache {
         DiskCache {
             root: dir.as_ref().join(format!("v{CACHE_SCHEMA_VERSION}")),
             durable: false,
-            hits: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            read_errors: AtomicU64::new(0),
-            write_errors: AtomicU64::new(0),
-            orphans_removed: AtomicU64::new(0),
         }
     }
 
@@ -82,10 +71,11 @@ impl DiskCache {
     /// other writer's rename fails and its entry is re-simulated
     /// later. Unreadable directories are skipped (recovery is
     /// best-effort; a missing root just means nothing was ever
-    /// written).
-    pub fn recover(&self) {
+    /// written). Returns the number of orphans deleted.
+    pub fn recover(&self) -> u64 {
+        let mut removed = 0;
         let Ok(groups) = std::fs::read_dir(&self.root) else {
-            return;
+            return removed;
         };
         for group in groups.flatten() {
             let Ok(entries) = std::fs::read_dir(group.path()) else {
@@ -98,7 +88,7 @@ impl DiskCache {
                     .and_then(|n| n.to_str())
                     .is_some_and(|n| n.ends_with(".tmp"));
                 if is_orphan && std::fs::remove_file(&path).is_ok() {
-                    self.orphans_removed.fetch_add(1, Ordering::Relaxed);
+                    removed += 1;
                     eprintln!(
                         "mds-harness: removed orphaned cache temp {}",
                         path.display()
@@ -106,6 +96,7 @@ impl DiskCache {
                 }
             }
         }
+        removed
     }
 
     /// The entry file for one (trace, config) pair.
@@ -117,10 +108,9 @@ impl DiskCache {
 
     /// Loads a persisted result, verifying identity and integrity.
     /// Any mismatch or corruption is an `Ok(None)` miss; an I/O error
-    /// other than the entry simply not existing is returned (and
-    /// counted in [`DiskCache::read_errors`]) so the caller can warn —
-    /// the request then degrades to re-simulation rather than aborting
-    /// the sweep.
+    /// other than the entry simply not existing is returned so the
+    /// caller can warn and count it — the request then degrades to
+    /// re-simulation rather than aborting the sweep.
     ///
     /// # Errors
     ///
@@ -141,12 +131,9 @@ impl DiskCache {
         let text = match read {
             Ok(text) => text,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => {
-                self.read_errors.fetch_add(1, Ordering::Relaxed);
-                return Err(e);
-            }
+            Err(e) => return Err(e),
         };
-        let decoded = (|| {
+        Ok((|| {
             let entry = Value::parse_json(&text).ok()?;
             let valid = entry.get("schema")?.as_u64()? == u64::from(CACHE_SCHEMA_VERSION)
                 && entry.get("benchmark")?.as_str()? == benchmark.name()
@@ -156,11 +143,7 @@ impl DiskCache {
                 return None;
             }
             decode_result(entry.get("result")?)
-        })();
-        if decoded.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(decoded)
+        })())
     }
 
     /// Persists one result. Results carrying a pipeline trace are
@@ -170,10 +153,9 @@ impl DiskCache {
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation and write errors (each also
-    /// counted in [`DiskCache::write_errors`]); the caller downgrades
-    /// them to a warning, since a failed write-back only costs a
-    /// future re-simulation.
+    /// Propagates directory-creation and write errors; the caller
+    /// counts them and downgrades them to a warning, since a failed
+    /// write-back only costs a future re-simulation.
     pub fn store(
         &self,
         benchmark: Benchmark,
@@ -185,20 +167,6 @@ impl DiskCache {
         if result.pipetrace.is_some() {
             return Ok(());
         }
-        self.store_inner(benchmark, trace_fp, key, result, faults)
-            .inspect_err(|_| {
-                self.write_errors.fetch_add(1, Ordering::Relaxed);
-            })
-    }
-
-    fn store_inner(
-        &self,
-        benchmark: Benchmark,
-        trace_fp: u64,
-        key: &ConfigKey,
-        result: &SimResult,
-        faults: &FaultPlan,
-    ) -> io::Result<()> {
         let path = self.entry_path(benchmark, trace_fp, key);
         if let Some(f) = faults.fire(FaultSite::DiskWrite) {
             // A full disk (ENOSPC-shaped): nothing reaches the medium.
@@ -229,39 +197,10 @@ impl DiskCache {
             return Err(injected_io_error(f.site));
         }
         if self.durable {
-            emit::write_atomic_durable(&path, &json)?;
+            emit::write_atomic_durable(&path, &json)
         } else {
-            emit::write_atomic(&path, &json)?;
+            emit::write_atomic(&path, &json)
         }
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Requests served from disk.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Entries written back.
-    pub fn writes(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed)
-    }
-
-    /// Entry reads that failed with an I/O error (injected or
-    /// organic) and degraded to re-simulation.
-    pub fn read_errors(&self) -> u64 {
-        self.read_errors.load(Ordering::Relaxed)
-    }
-
-    /// Write-backs that failed (injected or organic) and were dropped
-    /// with a warning.
-    pub fn write_errors(&self) -> u64 {
-        self.write_errors.load(Ordering::Relaxed)
-    }
-
-    /// Orphaned staging files deleted by the startup recovery sweep.
-    pub fn orphans_removed(&self) -> u64 {
-        self.orphans_removed.load(Ordering::Relaxed)
     }
 }
 
@@ -580,12 +519,11 @@ mod tests {
         );
         disk.store(benchmark, fp, &key, &result, &FaultPlan::none())
             .unwrap();
-        assert_eq!(disk.writes(), 1);
+        assert!(disk.entry_path(benchmark, fp, &key).is_file());
         let loaded = disk
             .load(benchmark, fp, &key, &FaultPlan::none())
             .unwrap()
             .expect("entry persisted");
-        assert_eq!(disk.hits(), 1);
         assert_eq!(loaded.stats, result.stats);
         assert_eq!(loaded.policy_name, result.policy_name);
         assert_eq!(format!("{loaded:?}"), format!("{result:?}"));
@@ -761,7 +699,9 @@ mod tests {
             &FaultPlan::none(),
         )
         .unwrap();
-        assert_eq!(disk.writes(), 0);
+        assert!(!disk
+            .entry_path(benchmark, trace.fingerprint(), &key)
+            .exists());
         assert!(disk
             .load(benchmark, trace.fingerprint(), &key, &FaultPlan::none())
             .unwrap()
@@ -780,16 +720,14 @@ mod tests {
         let faults = FaultPlan::parse("disk_read=nth:1").unwrap();
         let err = disk.load(benchmark, fp, &key, &faults).unwrap_err();
         assert!(err.to_string().contains("injected fault: disk_read"));
-        assert_eq!(disk.read_errors(), 1);
+        assert_eq!(faults.injected(FaultSite::DiskRead), 1);
         // The entry itself is untouched: the next read hits.
         assert!(disk.load(benchmark, fp, &key, &faults).unwrap().is_some());
-        assert_eq!(disk.read_errors(), 1);
         // A missing entry is a plain miss, not an error.
         assert!(disk
             .load(benchmark, fp ^ 1, &key, &FaultPlan::none())
             .unwrap()
             .is_none());
-        assert_eq!(disk.read_errors(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -803,8 +741,6 @@ mod tests {
             .store(benchmark, fp, &key, &result, &faults)
             .unwrap_err();
         assert!(err.to_string().contains("injected fault: disk_write"));
-        assert_eq!(disk.writes(), 0);
-        assert_eq!(disk.write_errors(), 1);
         assert!(disk
             .load(benchmark, fp, &key, &FaultPlan::none())
             .unwrap()
@@ -812,7 +748,10 @@ mod tests {
         // A fault-free retry succeeds on the same cache.
         disk.store(benchmark, fp, &key, &result, &FaultPlan::none())
             .unwrap();
-        assert_eq!(disk.writes(), 1);
+        assert!(disk
+            .load(benchmark, fp, &key, &FaultPlan::none())
+            .unwrap()
+            .is_some());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -824,7 +763,6 @@ mod tests {
         let faults = FaultPlan::parse("disk_write_torn=nth:1").unwrap();
         disk.store(benchmark, fp, &key, &result, &faults)
             .unwrap_err();
-        assert_eq!(disk.write_errors(), 1);
         // The torn temp exists but the entry does not: readers only
         // ever see complete entries or a miss.
         let entry_dir = disk.entry_path(benchmark, fp, &key);
@@ -844,8 +782,7 @@ mod tests {
         disk.store(benchmark, fp, &key, &result, &FaultPlan::none())
             .unwrap();
         let fresh = DiskCache::open(&dir);
-        fresh.recover();
-        assert_eq!(fresh.orphans_removed(), 1);
+        assert_eq!(fresh.recover(), 1);
         assert_eq!(std::fs::read_dir(entry_dir).unwrap().count(), 1);
         assert!(fresh
             .load(benchmark, fp, &key, &FaultPlan::none())
@@ -853,8 +790,7 @@ mod tests {
             .is_some());
         // Recovery on an empty or absent root is a no-op.
         let empty = DiskCache::open(tempdir("torn-empty"));
-        empty.recover();
-        assert_eq!(empty.orphans_removed(), 0);
+        assert_eq!(empty.recover(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -866,7 +802,6 @@ mod tests {
         disk.make_durable();
         disk.store(benchmark, fp, &key, &result, &FaultPlan::none())
             .unwrap();
-        assert_eq!(disk.writes(), 1);
         let loaded = disk
             .load(benchmark, fp, &key, &FaultPlan::none())
             .unwrap()

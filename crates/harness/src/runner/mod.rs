@@ -1,7 +1,7 @@
 //! Parallel, memoizing simulation driver.
 //!
 //! Experiments submit (benchmark, configuration) requests to a
-//! [`Runner`]; the runner serves repeats from its [`SimCache`] and
+//! [`Runner`]; the runner serves repeats from its in-memory cache and
 //! executes the rest on a work-stealing scoped thread pool
 //! ([`exec`]), collecting results back into deterministic suite order
 //! so every rendered table and figure is byte-identical to a
@@ -13,17 +13,19 @@ mod disk;
 mod exec;
 mod key;
 mod service;
+mod stats;
 mod suite;
 mod trace;
 
-pub use cache::{RunnerStats, SimCache};
 pub use key::{ConfigKey, CACHE_SCHEMA_VERSION};
 pub use service::{SweepService, MAX_REQUEST_LINE, PROTOCOL_VERSION};
+pub use stats::RunnerStats;
 pub use suite::Suite;
 pub use trace::TraceSink;
 
 use crate::faults::{FaultPlan, FaultSite};
 use artifacts::ArtifactCache;
+use cache::{Claim, SimCache};
 use disk::DiskCache;
 use exec::Job;
 use mds_core::{CoreConfig, SimResult};
@@ -33,8 +35,10 @@ use serde::Value;
 use std::collections::HashSet;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+/// One (benchmark, config) request, with the config's cache key.
+type Request<'a> = (Benchmark, &'a CoreConfig, &'a ConfigKey);
 
 /// Drives simulations over a [`Suite`]: memoizes per-(benchmark,
 /// config) results across experiments and runs pending simulations in
@@ -66,13 +70,10 @@ pub struct Runner {
     artifacts: ArtifactCache,
     trace: Option<TraceSink>,
     spans: Spans,
+    /// The one store of the runner's counters: [`Runner::stats`] and
+    /// [`Runner::obs_snapshot`] both read it.
     obs: Mutex<Registry>,
     faults: FaultPlan,
-    /// High-water marks of per-site injected-fault counts already
-    /// folded into the registry (see `sync_fault_counters`).
-    faults_synced: [AtomicU64; FaultSite::ALL.len()],
-    job_retries: AtomicU64,
-    job_failures: AtomicU64,
 }
 
 impl Runner {
@@ -99,14 +100,11 @@ impl Runner {
             spans: Spans::new(),
             obs: Mutex::new(obs),
             faults: FaultPlan::none(),
-            faults_synced: Default::default(),
-            job_retries: AtomicU64::new(0),
-            job_failures: AtomicU64::new(0),
         }
     }
 
     /// Attaches a persistent on-disk cache tier rooted at `dir`,
-    /// promoting the in-memory [`SimCache`] to a two-tier cache: every
+    /// promoting the in-memory cache to a two-tier cache: every
     /// request misses memory, then disk — keyed by (trace fingerprint,
     /// [`ConfigKey`], [`CACHE_SCHEMA_VERSION`]) — before simulating,
     /// and every fresh result is written back, so results survive
@@ -122,8 +120,7 @@ impl Runner {
         if self.durable {
             disk.make_durable();
         }
-        disk.recover();
-        let orphans = disk.orphans_removed();
+        let orphans = disk.recover();
         if orphans > 0 {
             self.observe(|r| r.add("cache.orphans_removed", orphans));
         }
@@ -177,8 +174,8 @@ impl Runner {
     /// record pipeline traces whose sampled events are appended too.
     ///
     /// Tracing never changes what is simulated or cached — pipeline
-    /// traces are stripped before results enter the [`SimCache`] — so a
-    /// traced run's results are identical to an untraced run's.
+    /// traces are stripped before results are memoized — so a traced
+    /// run's results are identical to an untraced run's.
     #[must_use]
     pub fn with_trace(mut self, sink: TraceSink) -> Runner {
         self.trace = Some(sink);
@@ -218,29 +215,26 @@ impl Runner {
         f(&mut self.obs.lock().expect("metric registry poisoned"));
     }
 
-    /// A point-in-time clone of the operational metric registry.
+    /// A point-in-time clone of the operational metric registry, with
+    /// the fault plan's per-site injection counts
+    /// (`faults.injected.<site>`) and the number of requests in flight
+    /// (the `service.inflight` gauge) added to the clone.
     pub fn obs_snapshot(&self) -> Registry {
-        self.sync_fault_counters();
-        self.obs.lock().expect("metric registry poisoned").clone()
-    }
-
-    /// Folds the fault plan's per-site injected counts into the
-    /// registry as `faults.injected.<site>` counters. Deltas are
-    /// tracked with per-site high-water marks so concurrent snapshots
-    /// never double-count.
-    fn sync_fault_counters(&self) {
-        if !self.faults.is_armed() {
-            return;
-        }
-        for (i, site) in FaultSite::ALL.into_iter().enumerate() {
-            let current = self.faults.injected(site);
-            let prev = self.faults_synced[i].fetch_max(current, Ordering::Relaxed);
-            if current > prev {
-                self.observe(|r| {
-                    r.add(&format!("faults.injected.{}", site.name()), current - prev)
-                });
+        let mut snapshot = self.obs.lock().expect("metric registry poisoned").clone();
+        for site in FaultSite::ALL {
+            let injected = self.faults.injected(site);
+            if injected > 0 {
+                snapshot.add(&format!("faults.injected.{}", site.name()), injected);
             }
         }
+        snapshot.set_gauge("service.inflight", self.inflight_pairs() as f64);
+        snapshot
+    }
+
+    /// Number of (benchmark, config) pairs currently claimed by a
+    /// caller that is still producing their results.
+    pub fn inflight_pairs(&self) -> u64 {
+        self.cache.pending() as u64
     }
 
     /// Emits one finished span to the attached trace sink (no-op when
@@ -279,34 +273,24 @@ impl Runner {
     /// suite order.
     ///
     /// Requests already memoized (or repeated within the batch) are
-    /// served from the [`SimCache`]; with a cache directory attached,
-    /// the rest is looked up on disk; only the remainder is simulated.
+    /// served from memory; with a cache directory attached, the rest is
+    /// looked up on disk; only the remainder is simulated.
     pub fn run_batch(&self, configs: &[CoreConfig]) -> Vec<Vec<(Benchmark, SimResult)>> {
         let keys: Vec<ConfigKey> = configs.iter().map(ConfigKey::of).collect();
-        self.resolve(
-            configs
-                .iter()
-                .zip(&keys)
-                .flat_map(|(config, key)| self.suite.iter().map(move |(b, _)| (b, config, key))),
-            None,
-        )
-        .unwrap_or_else(|e| panic!("simulation failed: {e}"));
-
-        // Assemble each config's results in suite order from the cache
-        // (without re-counting hits), so output ordering never depends
-        // on execution interleaving.
+        let requests: Vec<Request<'_>> = configs
+            .iter()
+            .zip(&keys)
+            .flat_map(|(config, key)| self.suite.iter().map(move |(b, _)| (b, config, key)))
+            .collect();
+        self.resolve(&requests, None)
+            .unwrap_or_else(|e| panic!("simulation failed: {e}"));
+        // Assemble each config's results in suite order from the cache,
+        // so output ordering never depends on execution interleaving.
+        let benchmarks = self.suite.benchmarks();
         keys.iter()
             .map(|key| {
-                self.suite
-                    .iter()
-                    .map(|(b, _)| {
-                        let result = self
-                            .cache
-                            .peek(b, key)
-                            .expect("every requested (benchmark, config) is cached");
-                        (b, result)
-                    })
-                    .collect()
+                let results = self.cache.results(benchmarks.iter().map(|&b| (b, key)));
+                benchmarks.iter().copied().zip(results).collect()
             })
             .collect()
     }
@@ -315,13 +299,16 @@ impl Runner {
     /// service's entry point, where concurrent requests may cover
     /// different benchmark subsets — returning one result per pair, in
     /// request order. Memoization and the disk tier behave exactly as
-    /// in [`Runner::run_batch`].
+    /// in [`Runner::run_batch`], and concurrent calls never simulate
+    /// the same pair twice: a pair another caller is already
+    /// simulating is waited for, then served from memory.
     ///
     /// # Errors
     ///
     /// Returns a structured error naming the failed pair(s) when a
-    /// simulation job panicked twice (once plus its automatic retry);
-    /// every other pair still completes and is cached.
+    /// simulation job panicked twice (once plus its automatic retry),
+    /// here or in a concurrent caller's overlapping request; every
+    /// other pair still completes and is cached.
     ///
     /// # Panics
     ///
@@ -331,14 +318,13 @@ impl Runner {
     }
 
     /// [`Runner::run_pairs`] with an explicit parent span: the resolve
-    /// span (and every per-config span under it) is parented onto the
-    /// caller's request span, so a service request's trace forms one
-    /// connected tree from `recv` down to `disk_write`.
+    /// span (and every span under it) is parented onto the caller's
+    /// request span, so a service request's trace forms one connected
+    /// tree from `recv` down to `disk_write`.
     ///
     /// # Errors
     ///
-    /// Returns a structured error naming the failed pair(s) when a
-    /// simulation job panicked twice (once plus its automatic retry).
+    /// As [`Runner::run_pairs`].
     ///
     /// # Panics
     ///
@@ -349,42 +335,45 @@ impl Runner {
         parent: Option<SpanId>,
     ) -> Result<Vec<SimResult>, String> {
         let keys: Vec<ConfigKey> = pairs.iter().map(|(_, c)| ConfigKey::of(c)).collect();
-        self.resolve(
-            pairs.iter().zip(&keys).map(|((b, c), key)| (*b, c, key)),
-            parent,
-        )?;
-        Ok(pairs
+        let requests: Vec<Request<'_>> = pairs
             .iter()
             .zip(&keys)
-            .map(|((b, _), key)| {
-                self.cache
-                    .peek(*b, key)
-                    .expect("every requested (benchmark, config) is cached")
-            })
-            .collect())
+            .map(|((b, c), key)| (*b, c, key))
+            .collect();
+        self.resolve(&requests, parent)?;
+        Ok(self
+            .cache
+            .results(requests.iter().map(|&(b, _, key)| (b, key))))
     }
 
-    /// Brings every requested (benchmark, config) into the in-memory
-    /// cache: memory hits are counted, misses fall through to the disk
-    /// tier (when attached), and the remainder is simulated in one
-    /// parallel wave and written back to disk.
+    /// Brings every request's result into memory: the one path every
+    /// entry point takes, and the one place a request is classified and
+    /// counted.
     ///
-    /// With a trace sink attached the whole call is wrapped in a
-    /// `resolve` span (parented on `parent` when the caller — e.g. a
-    /// service request — supplies one) and every executed job emits a
-    /// `config_run` span tree covering the `trace_gen`,
-    /// `artifact_build`, `queue_wait`, `simulate`, and (with a disk
-    /// tier) `disk_write` phases. The metric registry accumulates the
-    /// same phases as latency histograms regardless of tracing.
+    /// A request is a memory hit, a *claim* — a miss this call fills
+    /// from the disk tier when attached, else by simulating it in one
+    /// parallel wave with the other claims and writing it back — or a
+    /// *join* onto a claim another caller holds, which this call waits
+    /// for once its own claims are published or released. A repeat
+    /// within the call is a memory hit. The dedup ledger counts each
+    /// request once: `service.pairs_requested == dedup.claimed +
+    /// dedup.joined + dedup.served_from_cache`.
+    ///
+    /// With a trace sink attached the call is wrapped in a `resolve`
+    /// span (parented on `parent` when the caller — e.g. a service
+    /// request — supplies one) holding the `claim` and `dedup_join`
+    /// phases and one `config_run` span tree per executed job, covering
+    /// the `trace_gen`, `artifact_build`, `queue_wait`, `simulate`, and
+    /// (with a disk tier) `disk_write` phases. The metric registry
+    /// accumulates the same phases as latency histograms regardless of
+    /// tracing.
+    ///
     /// # Errors
     ///
-    /// Returns one message naming every (benchmark, policy) whose job
-    /// panicked twice; all other requests complete and are cached.
-    fn resolve<'a>(
-        &'a self,
-        requests: impl Iterator<Item = (Benchmark, &'a CoreConfig, &'a ConfigKey)>,
-        parent: Option<SpanId>,
-    ) -> Result<(), String> {
+    /// Returns one message naming every (benchmark, config) whose job
+    /// panicked twice, or else every joined request whose owner's job
+    /// failed; all other requests complete and are cached.
+    fn resolve(&self, requests: &[Request<'_>], parent: Option<SpanId>) -> Result<(), String> {
         // When a trace sink with a sampling stride is attached, the
         // jobs (but not the cache keys) get pipeline-trace recording
         // switched on — and the disk tier is bypassed on reads, since a
@@ -396,112 +385,75 @@ impl Runner {
             .as_ref()
             .map(|_| self.spans.enter("resolve", parent));
         let resolve_id = resolve_span.as_ref().map(|s| s.id());
-        let mut scheduled: HashSet<(Benchmark, &ConfigKey)> = HashSet::new();
-        let mut pending: Vec<Job<'_>> = Vec::new();
-        // Per pending job: (benchmark, key, enqueue offset, whether this
-        // request built the artifact bundle, its build nanos).
-        let mut pending_meta: Vec<(Benchmark, ConfigKey, u64, bool, u64)> = Vec::new();
-        for (benchmark, config, key) in requests {
-            if self.cache.contains(benchmark, key) || !scheduled.insert((benchmark, key)) {
-                self.cache.count_hit();
-                self.observe(|r| r.incr("cache.memory_hits"));
-                if let Some(sink) = &self.trace {
-                    sink.event(
-                        "cache_hit",
-                        &[
-                            ("benchmark", Value::Str(benchmark.name().to_string())),
-                            ("policy", Value::Str(config.policy.paper_name().to_string())),
-                        ],
-                    )
-                    .expect("writing JSONL trace");
+
+        let claim_span = self
+            .trace
+            .as_ref()
+            .map(|_| self.spans.enter("claim", resolve_id));
+        let mut claims = Claims {
+            cache: &self.cache,
+            held: Vec::new(),
+        };
+        let mut mine: Vec<Request<'_>> = Vec::new();
+        let mut joined: Vec<Request<'_>> = Vec::new();
+        let mut seen: HashSet<(Benchmark, &ConfigKey)> = HashSet::new();
+        for &(benchmark, config, key) in requests {
+            match self.cache.claim(benchmark, key) {
+                Claim::Mine => {
+                    seen.insert((benchmark, key));
+                    claims.held.push(Some((benchmark, key)));
+                    mine.push((benchmark, config, key));
                 }
-                continue;
+                // Claimed by another caller: join it, once.
+                Claim::Busy if seen.insert((benchmark, key)) => {
+                    joined.push((benchmark, config, key));
+                }
+                // Memoized, or a repeat within this call.
+                Claim::Hit | Claim::Busy => self.memory_hit(benchmark, config),
             }
-            let trace = self.suite.trace(benchmark);
-            if !record_pipe && self.disk.is_some() {
-                let read_start = self.spans.now_ns();
-                let loaded = match self
-                    .disk
-                    .as_ref()
-                    .map(|disk| disk.load(benchmark, trace.fingerprint(), key, &self.faults))
-                {
-                    Some(Ok(loaded)) => loaded,
-                    Some(Err(e)) => {
-                        // An unreadable entry (I/O error, not a plain
-                        // miss) degrades to re-simulation: slower,
-                        // never wrong.
-                        eprintln!(
-                            "warning: disk-cache read failed for {}: {e}; re-simulating",
-                            benchmark.name()
-                        );
-                        self.observe(|r| r.incr("cache.disk_read_errors"));
-                        if let Some(sink) = &self.trace {
-                            sink.event(
-                                "disk_read_error",
-                                &[
-                                    ("benchmark", Value::Str(benchmark.name().to_string())),
-                                    ("error", Value::Str(e.to_string())),
-                                ],
-                            )
-                            .expect("writing JSONL trace");
-                        }
-                        None
-                    }
-                    None => None,
-                };
-                if let Some(result) = loaded {
-                    let read_ns = self.spans.now_ns().saturating_sub(read_start);
-                    self.cache.count_hit();
-                    self.cache.insert_loaded(benchmark, key.clone(), result);
-                    self.observe(|r| {
-                        r.incr("cache.disk_hits");
-                        r.record("phase.disk_read_us", read_ns / 1_000);
-                    });
-                    if let Some(sink) = &self.trace {
-                        sink.event(
-                            "disk_hit",
-                            &[
-                                ("benchmark", Value::Str(benchmark.name().to_string())),
-                                ("policy", Value::Str(config.policy.paper_name().to_string())),
-                            ],
-                        )
-                        .expect("writing JSONL trace");
-                        let span = self.spans.record(
-                            "disk_read",
-                            resolve_id,
-                            read_start,
-                            read_ns,
-                            vec![(
-                                "benchmark".to_string(),
-                                Value::Str(benchmark.name().to_string()),
-                            )],
-                        );
-                        sink.emit_span(&span).expect("writing JSONL trace");
-                    }
+        }
+        let served = (requests.len() - mine.len() - joined.len()) as u64;
+        self.observe(|r| {
+            r.add("service.pairs_requested", requests.len() as u64);
+            r.add("dedup.claimed", mine.len() as u64);
+            r.add("dedup.joined", joined.len() as u64);
+            r.add("dedup.served_from_cache", served);
+        });
+        if let Some(mut span) = claim_span {
+            span.add_field("claimed", Value::UInt(mine.len() as u64));
+            span.add_field("joined", Value::UInt(joined.len() as u64));
+            span.add_field("served_from_cache", Value::UInt(served));
+            self.emit_span(&span.finish()).expect("writing JSONL trace");
+        }
+
+        let mut pending: Vec<Job<'_>> = Vec::new();
+        // Per pending job: (claim index, enqueue offset, whether this
+        // request built the artifact bundle, its build nanos).
+        let mut pending_meta: Vec<(usize, u64, bool, u64)> = Vec::new();
+        for (i, &(benchmark, config, key)) in mine.iter().enumerate() {
+            if !record_pipe {
+                if let Some(result) = self.load(benchmark, config, key, resolve_id) {
+                    claims.publish(i, result);
                     continue;
                 }
             }
-            let config = if record_pipe {
-                config.clone().with_pipetrace(true)
-            } else {
-                config.clone()
-            };
+            let trace = self.suite.trace(benchmark);
             let lookup = self.artifacts.get_or_build(benchmark, trace);
             if lookup.built {
-                self.observe(|r| r.record("phase.artifact_build_us", lookup.build_nanos / 1_000));
+                self.observe(|r| {
+                    r.incr("runner.artifact_builds");
+                    r.add("runner.prep_ns", lookup.build_nanos);
+                    r.record("phase.artifact_build_us", lookup.build_nanos / 1_000);
+                });
             }
             pending.push(Job {
-                config,
+                config: config
+                    .clone()
+                    .with_pipetrace(record_pipe || config.record_pipeline_trace),
                 trace,
                 artifacts: lookup.artifacts,
             });
-            pending_meta.push((
-                benchmark,
-                key.clone(),
-                self.spans.now_ns(),
-                lookup.built,
-                lookup.build_nanos,
-            ));
+            pending_meta.push((i, self.spans.now_ns(), lookup.built, lookup.build_nanos));
         }
 
         self.observe(|r| r.set_gauge("runner.queue_depth", pending.len() as f64));
@@ -509,11 +461,9 @@ impl Runner {
             if let Some(f) = self.faults.fire(FaultSite::QueueDelay) {
                 // Artificial queue latency: the whole wave sits on the
                 // queue, exactly like a saturated pool would hold it.
-                self.observe(|r| r.incr("runner.queue_delays"));
-                if let Some(sink) = &self.trace {
-                    sink.event("queue_delay", &[("millis", Value::UInt(f.millis))])
-                        .expect("writing JSONL trace");
-                }
+                self.tally("runner.queue_delays", "queue_delay", || {
+                    vec![("millis", Value::UInt(f.millis))]
+                });
                 std::thread::sleep(std::time::Duration::from_millis(f.millis));
             }
         }
@@ -521,9 +471,8 @@ impl Runner {
         let done = exec::run_jobs(&pending, self.jobs, &self.faults);
         self.observe(|r| r.set_gauge("runner.queue_depth", 0.0));
         let mut failures: Vec<String> = Vec::new();
-        for ((benchmark, key, enqueue_ns, built, build_nanos), job_done) in
-            pending_meta.into_iter().zip(done)
-        {
+        for ((i, enqueue_ns, built, build_nanos), job_done) in pending_meta.into_iter().zip(done) {
+            let (benchmark, _, key) = mine[i];
             let exec::JobDone {
                 outcome,
                 retried,
@@ -531,33 +480,21 @@ impl Runner {
                 nanos,
             } = job_done;
             if retried {
-                self.job_retries.fetch_add(1, Ordering::Relaxed);
-                self.observe(|r| r.incr("runner.job_retries"));
-                if let Some(sink) = &self.trace {
-                    sink.event(
-                        "job_retry",
-                        &[("benchmark", Value::Str(benchmark.name().to_string()))],
-                    )
-                    .expect("writing JSONL trace");
-                }
+                self.tally("runner.job_retries", "job_retry", || {
+                    vec![benchmark_field(benchmark)]
+                });
             }
             let mut result = match outcome {
                 Ok(result) => result,
                 Err(e) => {
                     // Twice-panicked: fail this pair alone, with a
                     // structured error; every sibling still lands.
-                    self.job_failures.fetch_add(1, Ordering::Relaxed);
-                    self.observe(|r| r.incr("runner.job_failures"));
-                    if let Some(sink) = &self.trace {
-                        sink.event(
-                            "job_error",
-                            &[
-                                ("benchmark", Value::Str(benchmark.name().to_string())),
-                                ("panic", Value::Str(e.panic.clone())),
-                            ],
-                        )
-                        .expect("writing JSONL trace");
-                    }
+                    self.tally("runner.job_failures", "job_error", || {
+                        vec![
+                            benchmark_field(benchmark),
+                            ("panic", Value::Str(e.panic.clone())),
+                        ]
+                    });
                     failures.push(format!(
                         "{} under {}: worker panicked twice: {}",
                         benchmark.name(),
@@ -570,7 +507,8 @@ impl Runner {
             let sim_start_ns = wave_start_ns + start_offset_ns;
             let queue_wait_ns = sim_start_ns.saturating_sub(enqueue_ns);
             self.observe(|r| {
-                r.incr("runner.simulations");
+                r.add("runner.sim_ns", nanos);
+                r.add("runner.skipped_cycles", result.skipped_cycles);
                 r.record("phase.queue_wait_us", queue_wait_ns / 1_000);
                 r.record("phase.simulate_us", nanos / 1_000);
             });
@@ -578,84 +516,47 @@ impl Runner {
             // assembled on this (single) collector thread, so children
             // are emitted before their parent, whose duration extends
             // through the disk write below.
-            let config_run = self.trace.as_ref().map(|sink| {
-                let cr = self.spans.record(
-                    "config_run",
-                    resolve_id,
-                    enqueue_ns,
-                    0, // patched once the disk write completes
-                    vec![
-                        (
-                            "benchmark".to_string(),
-                            Value::Str(benchmark.name().to_string()),
-                        ),
-                        ("policy".to_string(), Value::Str(result.policy_name.clone())),
-                    ],
-                );
-                let cr_id = Some(cr.id);
-                // Trace generation ran once, before this runner existed;
-                // the span attributes that amortized cost to each config
-                // that replays the trace, flagged so aggregation can
-                // avoid double-counting it as fresh work.
-                let trace_gen = self.spans.record(
-                    "trace_gen",
-                    cr_id,
-                    enqueue_ns,
-                    self.suite.gen_nanos(benchmark),
-                    vec![("amortized".to_string(), Value::Bool(true))],
-                );
-                sink.emit_span(&trace_gen).expect("writing JSONL trace");
-                let artifact_build = self.spans.record(
-                    "artifact_build",
-                    cr_id,
-                    enqueue_ns,
-                    build_nanos,
-                    vec![("cached".to_string(), Value::Bool(!built))],
-                );
-                sink.emit_span(&artifact_build)
-                    .expect("writing JSONL trace");
-                let queue_wait =
-                    self.spans
-                        .record("queue_wait", cr_id, enqueue_ns, queue_wait_ns, vec![]);
-                sink.emit_span(&queue_wait).expect("writing JSONL trace");
-                // `wall_ns` is this config's own measured simulation
-                // time.
-                let simulate = self.spans.record(
-                    "simulate",
-                    cr_id,
-                    sim_start_ns,
-                    nanos,
-                    vec![
-                        ("wall_ns".to_string(), Value::UInt(nanos)),
-                        (
-                            "skipped_cycles".to_string(),
-                            Value::UInt(result.skipped_cycles),
-                        ),
-                    ],
-                );
-                sink.emit_span(&simulate).expect("writing JSONL trace");
-                cr
+            let config_run = self.trace.as_ref().map(|_| {
+                let fields = request_fields(benchmark, &result.policy_name);
+                // The duration is patched once the disk write completes.
+                self.spans
+                    .record("config_run", resolve_id, enqueue_ns, 0, owned(&fields))
+            });
+            let cr_id = config_run.as_ref().map(|cr| cr.id);
+            // Trace generation ran once, before this runner existed;
+            // the span attributes that amortized cost to each config
+            // that replays the trace, flagged so aggregation can avoid
+            // double-counting it as fresh work.
+            let trace_gen_ns = self.suite.gen_nanos(benchmark);
+            let amortized = [("amortized", Value::Bool(true))];
+            self.phase("trace_gen", cr_id, enqueue_ns, trace_gen_ns, &amortized);
+            let cached = [("cached", Value::Bool(!built))];
+            self.phase("artifact_build", cr_id, enqueue_ns, build_nanos, &cached);
+            self.phase("queue_wait", cr_id, enqueue_ns, queue_wait_ns, &[]);
+            // `wall_ns` is this config's own measured simulation time.
+            let simulated = [
+                ("wall_ns", Value::UInt(nanos)),
+                ("skipped_cycles", Value::UInt(result.skipped_cycles)),
+            ];
+            self.phase("simulate", cr_id, sim_start_ns, nanos, &simulated);
+            self.tally("runner.simulations", "sim", || {
+                let mut fields = request_fields(benchmark, &result.policy_name);
+                fields.extend([
+                    ("wall_ns", Value::UInt(nanos)),
+                    ("cycles", Value::UInt(result.stats.cycles)),
+                    ("skipped_cycles", Value::UInt(result.skipped_cycles)),
+                    ("committed", Value::UInt(result.stats.committed)),
+                    ("ipc", Value::Float(result.ipc())),
+                ]);
+                fields
             });
             if let Some(sink) = &self.trace {
-                sink.event(
-                    "sim",
-                    &[
-                        ("benchmark", Value::Str(benchmark.name().to_string())),
-                        ("policy", Value::Str(result.policy_name.clone())),
-                        ("wall_ns", Value::UInt(nanos)),
-                        ("cycles", Value::UInt(result.stats.cycles)),
-                        ("skipped_cycles", Value::UInt(result.skipped_cycles)),
-                        ("committed", Value::UInt(result.stats.committed)),
-                        ("ipc", Value::Float(result.ipc())),
-                    ],
-                )
-                .expect("writing JSONL trace");
                 if let Some(pipe) = &result.pipetrace {
                     for e in pipe.sampled(sink.every()) {
                         sink.event(
                             "pipe",
                             &[
-                                ("benchmark", Value::Str(benchmark.name().to_string())),
+                                benchmark_field(benchmark),
                                 ("seq", Value::UInt(e.seq)),
                                 ("stage", Value::Str(e.stage.to_string())),
                                 ("cycle", Value::UInt(e.cycle)),
@@ -672,7 +573,7 @@ impl Runner {
             if let Some(disk) = &self.disk {
                 let write_start = self.spans.now_ns();
                 let fp = self.suite.trace(benchmark).fingerprint();
-                match disk.store(benchmark, fp, &key, &result, &self.faults) {
+                match disk.store(benchmark, fp, key, &result, &self.faults) {
                     Ok(()) => self.observe(|r| r.incr("cache.disk_writes")),
                     Err(e) => {
                         // A failed write-back (disk full, permissions,
@@ -680,62 +581,173 @@ impl Runner {
                         // nothing more: warn, count, and keep the
                         // result in memory.
                         eprintln!("warning: disk-cache write-back failed: {e}");
-                        self.observe(|r| r.incr("cache.disk_write_errors"));
-                        if let Some(sink) = &self.trace {
-                            sink.event(
-                                "disk_write_error",
-                                &[
-                                    ("benchmark", Value::Str(benchmark.name().to_string())),
-                                    ("error", Value::Str(e.to_string())),
-                                ],
-                            )
-                            .expect("writing JSONL trace");
-                        }
+                        self.tally("cache.disk_write_errors", "disk_write_error", || {
+                            vec![
+                                benchmark_field(benchmark),
+                                ("error", Value::Str(e.to_string())),
+                            ]
+                        });
                     }
                 }
                 let write_ns = self.spans.now_ns().saturating_sub(write_start);
                 self.observe(|r| r.record("phase.disk_write_us", write_ns / 1_000));
-                if let (Some(sink), Some(cr)) = (&self.trace, &config_run) {
-                    let disk_write =
-                        self.spans
-                            .record("disk_write", Some(cr.id), write_start, write_ns, vec![]);
-                    sink.emit_span(&disk_write).expect("writing JSONL trace");
-                }
+                self.phase("disk_write", cr_id, write_start, write_ns, &[]);
             }
-            if let (Some(sink), Some(mut cr)) = (&self.trace, config_run) {
+            if let Some(mut cr) = config_run {
                 cr.duration_ns = self.spans.now_ns().saturating_sub(cr.start_ns);
-                sink.emit_span(&cr).expect("writing JSONL trace");
+                self.emit_span(&cr).expect("writing JSONL trace");
             }
-            self.cache.insert(benchmark, key, result, nanos);
+            claims.publish(i, result);
         }
-        if let (Some(sink), Some(span)) = (&self.trace, resolve_span) {
-            sink.emit_span(&span.finish()).expect("writing JSONL trace");
+        // Release the claims that never landed (failed jobs) before
+        // waiting on anyone else's, so two callers never wait on each
+        // other. On a panic the guard's drop does the same.
+        drop(claims);
+
+        if !joined.is_empty() {
+            let join_span = self
+                .trace
+                .as_ref()
+                .map(|_| self.spans.enter("dedup_join", resolve_id));
+            self.cache
+                .wait(joined.iter().map(|&(benchmark, _, key)| (benchmark, key)));
+            if let Some(mut span) = join_span {
+                span.add_field("joined", Value::UInt(joined.len() as u64));
+                self.emit_span(&span.finish()).expect("writing JSONL trace");
+            }
         }
-        if failures.is_empty() {
-            Ok(())
-        } else {
-            Err(failures.join("; "))
+        if let Some(span) = resolve_span {
+            self.emit_span(&span.finish()).expect("writing JSONL trace");
+        }
+        if !failures.is_empty() {
+            return Err(failures.join("; "));
+        }
+
+        // A joined request is missing when its owner's job failed.
+        let missing: Vec<String> = joined
+            .iter()
+            .filter(|&&(benchmark, _, key)| !self.cache.is_done(benchmark, key))
+            .map(|(benchmark, config, _)| {
+                format!("{} under {}", benchmark.name(), config.policy.paper_name())
+            })
+            .collect();
+        if !missing.is_empty() {
+            return Err(format!(
+                "a concurrent caller's overlapping simulation failed: {}",
+                missing.join(", ")
+            ));
+        }
+        for &(benchmark, config, _) in &joined {
+            self.memory_hit(benchmark, config);
+        }
+        Ok(())
+    }
+
+    /// Looks a claimed request up in the disk tier, when one is
+    /// attached, counting the hit or the read error. An unreadable
+    /// entry (an I/O error, not a plain miss) degrades to
+    /// re-simulation: slower, never wrong.
+    fn load(
+        &self,
+        benchmark: Benchmark,
+        config: &CoreConfig,
+        key: &ConfigKey,
+        parent: Option<SpanId>,
+    ) -> Option<SimResult> {
+        let disk = self.disk.as_ref()?;
+        let start = self.spans.now_ns();
+        let fp = self.suite.trace(benchmark).fingerprint();
+        match disk.load(benchmark, fp, key, &self.faults) {
+            Ok(Some(result)) => {
+                let read_ns = self.spans.now_ns().saturating_sub(start);
+                self.observe(|r| r.record("phase.disk_read_us", read_ns / 1_000));
+                self.tally("cache.disk_hits", "disk_hit", || {
+                    request_fields(benchmark, config.policy.paper_name())
+                });
+                let fields = [benchmark_field(benchmark)];
+                self.phase("disk_read", parent, start, read_ns, &fields);
+                Some(result)
+            }
+            Ok(None) => None,
+            Err(e) => {
+                eprintln!(
+                    "warning: disk-cache read failed for {}: {e}; re-simulating",
+                    benchmark.name()
+                );
+                self.tally("cache.disk_read_errors", "disk_read_error", || {
+                    vec![
+                        benchmark_field(benchmark),
+                        ("error", Value::Str(e.to_string())),
+                    ]
+                });
+                None
+            }
+        }
+    }
+
+    /// Counts one request served from memory.
+    fn memory_hit(&self, benchmark: Benchmark, config: &CoreConfig) {
+        self.tally("cache.memory_hits", "cache_hit", || {
+            request_fields(benchmark, config.policy.paper_name())
+        });
+    }
+
+    /// Counts one occurrence under `counter` and, when tracing, logs it
+    /// as one JSONL `event` (whose fields are built only then).
+    fn tally(
+        &self,
+        counter: &str,
+        event: &str,
+        fields: impl FnOnce() -> Vec<(&'static str, Value)>,
+    ) {
+        self.observe(|r| r.incr(counter));
+        if let Some(sink) = &self.trace {
+            sink.event(event, &fields()).expect("writing JSONL trace");
+        }
+    }
+
+    /// When tracing, emits one phase measured out of band as a span
+    /// under `parent`.
+    fn phase(
+        &self,
+        name: &str,
+        parent: Option<SpanId>,
+        start_ns: u64,
+        duration_ns: u64,
+        fields: &[(&str, Value)],
+    ) {
+        if self.trace.is_some() {
+            let record = self
+                .spans
+                .record(name, parent, start_ns, duration_ns, owned(fields));
+            self.emit_span(&record).expect("writing JSONL trace");
         }
     }
 
     /// A snapshot of the cache-hit, simulation, disk-tier, and
-    /// artifact counters.
+    /// artifact counters, read from the metric registry.
     pub fn stats(&self) -> RunnerStats {
-        let mut stats = self.cache.stats();
-        stats.artifact_builds = self.artifacts.builds();
-        stats.prep_nanos = self.artifacts.prep_nanos();
-        if let Some(disk) = &self.disk {
-            stats.disk_hits = disk.hits();
-            stats.disk_writes = disk.writes();
-            stats.disk_read_errors = disk.read_errors();
-            stats.disk_write_errors = disk.write_errors();
-            stats.orphans_removed = disk.orphans_removed();
+        let obs = self.obs.lock().expect("metric registry poisoned");
+        let count = |name| obs.counter(name);
+        let simulations = count("runner.simulations");
+        let job_failures = count("runner.job_failures");
+        RunnerStats {
+            cache_hits: count("cache.memory_hits") + count("cache.disk_hits"),
+            simulations,
+            sim_nanos: count("runner.sim_ns"),
+            skipped_cycles: count("runner.skipped_cycles"),
+            artifact_builds: count("runner.artifact_builds"),
+            prep_nanos: count("runner.prep_ns"),
+            disk_hits: count("cache.disk_hits"),
+            disk_writes: count("cache.disk_writes"),
+            disk_read_errors: count("cache.disk_read_errors"),
+            disk_write_errors: count("cache.disk_write_errors"),
+            orphans_removed: count("cache.orphans_removed"),
+            job_retries: count("runner.job_retries"),
+            job_failures,
+            faults_injected: self.faults.total_injected(),
+            lane_batches: simulations + job_failures,
         }
-        stats.job_retries = self.job_retries.load(Ordering::Relaxed);
-        stats.job_failures = self.job_failures.load(Ordering::Relaxed);
-        stats.faults_injected = self.faults.total_injected();
-        stats.lane_batches = stats.simulations + stats.job_failures;
-        stats
     }
 
     /// Drops every memoized result (counters are preserved) so the next
@@ -743,6 +755,53 @@ impl Runner {
     pub fn clear_cache(&self) {
         self.cache.clear();
     }
+}
+
+/// The claims one [`Runner::resolve`] call holds. Dropping it — on
+/// return, or while the caller unwinds — releases every claim that
+/// never got a result, so no waiter is stranded on a claim whose owner
+/// is gone.
+struct Claims<'a> {
+    cache: &'a SimCache,
+    /// Indexed like the call's claimed requests; `None` once published.
+    held: Vec<Option<(Benchmark, &'a ConfigKey)>>,
+}
+
+impl Claims<'_> {
+    /// Publishes claim `i`'s result, which wakes its waiters.
+    fn publish(&mut self, i: usize, result: SimResult) {
+        let (benchmark, key) = self.held[i].take().expect("a claim is published once");
+        self.cache.publish(benchmark, key, result);
+    }
+}
+
+impl Drop for Claims<'_> {
+    fn drop(&mut self) {
+        if self.held.iter().any(Option::is_some) {
+            self.cache.release(self.held.iter().flatten().copied());
+        }
+    }
+}
+
+/// The `benchmark` field of a JSONL event.
+fn benchmark_field(benchmark: Benchmark) -> (&'static str, Value) {
+    ("benchmark", Value::Str(benchmark.name().to_string()))
+}
+
+/// The `benchmark` and `policy` fields of a request's event or span.
+fn request_fields(benchmark: Benchmark, policy: &str) -> Vec<(&'static str, Value)> {
+    vec![
+        benchmark_field(benchmark),
+        ("policy", Value::Str(policy.to_string())),
+    ]
+}
+
+/// Span fields, which own their keys.
+fn owned(fields: &[(&str, Value)]) -> Vec<(String, Value)> {
+    fields
+        .iter()
+        .map(|(key, value)| (key.to_string(), value.clone()))
+        .collect()
 }
 
 /// Geometric mean of `values` (1.0 for an empty slice).

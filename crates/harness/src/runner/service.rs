@@ -1,28 +1,25 @@
 //! A shared simulation service: concurrent sweep requests over one
-//! [`Runner`], with identical in-flight work deduplicated.
+//! [`Runner`].
 //!
 //! The [`SweepService`] is the long-running core behind `mds-serve`:
 //! many clients submit (benchmark, configuration) sweeps concurrently;
-//! each distinct pair is simulated exactly once — repeats are served
-//! from the two-tier cache, and a request arriving while an identical
-//! pair is *already being simulated* by another client waits for that
-//! simulation instead of starting a duplicate.
+//! each distinct pair is simulated exactly once — the runner serves
+//! repeats from its two-tier cache, and a request arriving while an
+//! identical pair is *already being simulated* for another client waits
+//! for that simulation instead of starting a duplicate.
 //!
-//! The module also owns the wire protocol (`handle_line`): one JSON
-//! request per line, one JSON response per line, so the server binary
-//! is a thin socket loop and every protocol rule is unit-testable
-//! without a socket.
+//! This module owns the wire protocol (`handle_line`): one JSON request
+//! per line, one JSON response per line, so the server binary is a thin
+//! socket loop and every protocol rule is unit-testable without a
+//! socket.
 
 use crate::cli;
-use crate::runner::key::ConfigKey;
 use crate::runner::Runner;
-use mds_core::{CoreConfig, Policy, SimResult};
+use mds_core::{CoreConfig, Policy};
 use mds_obs::{snapshot, to_prometheus, SpanId};
 use mds_workloads::Benchmark;
 use serde::{Serialize, Value};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 /// Version of the line protocol spoken by [`SweepService::handle_line`]
@@ -39,21 +36,15 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// survives.
 pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
-/// A [`Runner`] shared by concurrent clients, deduplicating identical
-/// in-flight requests.
+/// A [`Runner`] shared by concurrent clients.
 ///
-/// The runner's own cache already collapses *completed* repeats; the
-/// service additionally collapses *concurrent* ones: a claims table
-/// records every (benchmark, config) currently being simulated, and a
-/// request that overlaps a foreign claim blocks on a condition
-/// variable until the owner finishes and publishes the result to the
-/// cache — so three clients sweeping the same configurations cost one
-/// sweep of simulations.
+/// The runner collapses completed repeats and concurrent ones alike
+/// (see [`Runner::run_pairs`]), so three clients sweeping the same
+/// configurations cost one sweep of simulations; the service adds the
+/// protocol and connection accounting.
 #[derive(Debug)]
 pub struct SweepService {
     runner: Runner,
-    inflight: Mutex<HashSet<(Benchmark, ConfigKey)>>,
-    finished: Condvar,
     started: Instant,
     connections: AtomicU64,
 }
@@ -63,8 +54,6 @@ impl SweepService {
     pub fn new(runner: Runner) -> SweepService {
         SweepService {
             runner,
-            inflight: Mutex::new(HashSet::new()),
-            finished: Condvar::new(),
             started: Instant::now(),
             connections: AtomicU64::new(0),
         }
@@ -99,175 +88,7 @@ impl SweepService {
 
     /// Number of (benchmark, config) pairs currently being simulated.
     pub fn inflight_pairs(&self) -> u64 {
-        self.inflight.lock().expect("claims table poisoned").len() as u64
-    }
-
-    /// Runs explicit (benchmark, configuration) pairs on the shared
-    /// runner, returning one result per pair in request order.
-    ///
-    /// Unlike calling [`Runner::run_pairs`] directly, concurrent calls
-    /// never simulate the same pair twice: each caller claims the
-    /// pairs nobody else is working on, simulates only those, and
-    /// waits for foreign claims to land in the cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns a structured message when a simulation job failed
-    /// (panicked twice, here or in a concurrent client's overlapping
-    /// claim); every unaffected pair still completes and is cached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a requested benchmark is not part of the suite.
-    pub fn run_pairs(&self, pairs: &[(Benchmark, CoreConfig)]) -> Result<Vec<SimResult>, String> {
-        self.run_pairs_under(pairs, None)
-    }
-
-    /// [`SweepService::run_pairs`] with an explicit parent span, so a
-    /// service request's `claim`, `dedup_join`, and runner phase spans
-    /// all hang off the request's `recv` span.
-    ///
-    /// # Errors
-    ///
-    /// Returns a structured message when a simulation job failed
-    /// (panicked twice, here or in a concurrent client's overlapping
-    /// claim).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a requested benchmark is not part of the suite.
-    pub fn run_pairs_under(
-        &self,
-        pairs: &[(Benchmark, CoreConfig)],
-        parent: Option<SpanId>,
-    ) -> Result<Vec<SimResult>, String> {
-        let traced = self.runner.trace().is_some();
-        let keys: Vec<ConfigKey> = pairs.iter().map(|(_, c)| ConfigKey::of(c)).collect();
-
-        // Claim what nobody else is simulating; remember what they are.
-        let claim_span = traced.then(|| self.runner.spans().enter("claim", parent));
-        let mut mine: Vec<(Benchmark, CoreConfig)> = Vec::new();
-        let mut mine_keys: Vec<(Benchmark, ConfigKey)> = Vec::new();
-        let mut foreign: Vec<(Benchmark, ConfigKey)> = Vec::new();
-        let inflight_depth;
-        {
-            let mut inflight = self.inflight.lock().expect("claims table poisoned");
-            let mut seen: HashSet<(Benchmark, &ConfigKey)> = HashSet::new();
-            for ((benchmark, config), key) in pairs.iter().zip(&keys) {
-                if !seen.insert((*benchmark, key)) || self.runner.cache.contains(*benchmark, key) {
-                    continue; // in-request repeat or already memoized
-                }
-                let claim = (*benchmark, key.clone());
-                if inflight.contains(&claim) {
-                    foreign.push(claim);
-                } else {
-                    inflight.insert(claim);
-                    mine.push((*benchmark, config.clone()));
-                    mine_keys.push((*benchmark, key.clone()));
-                }
-            }
-            inflight_depth = inflight.len() as u64;
-        }
-        // The dedup ledger: every requested pair is either claimed by
-        // this caller, joined onto a foreign in-flight claim, or served
-        // straight from the cache (memoized earlier or an in-request
-        // repeat) — the three counters always sum to pairs_requested.
-        let served = (pairs.len() - mine.len() - foreign.len()) as u64;
-        self.runner.observe(|r| {
-            r.add("service.pairs_requested", pairs.len() as u64);
-            r.add("dedup.claimed", mine.len() as u64);
-            r.add("dedup.joined", foreign.len() as u64);
-            r.add("dedup.served_from_cache", served);
-            r.set_gauge("service.inflight", inflight_depth as f64);
-        });
-        if let Some(mut span) = claim_span {
-            span.add_field("claimed", Value::UInt(mine.len() as u64));
-            span.add_field("joined", Value::UInt(foreign.len() as u64));
-            span.add_field("served_from_cache", Value::UInt(served));
-            self.runner
-                .emit_span(&span.finish())
-                .expect("writing JSONL trace");
-        }
-
-        // Simulate the claimed pairs, then release the claims — even
-        // if the whole call panicked, so foreign waiters are never
-        // stranded on a claim whose owner is gone. (A worker panic is
-        // already contained by the executor — one retry, then a
-        // structured error — so the catch here is a last line of
-        // defence for panics outside the job itself.)
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.runner.run_pairs_under(&mine, parent)
-        }));
-        {
-            let mut inflight = self.inflight.lock().expect("claims table poisoned");
-            for claim in &mine_keys {
-                inflight.remove(claim);
-            }
-            self.runner
-                .observe(|r| r.set_gauge("service.inflight", inflight.len() as f64));
-            self.finished.notify_all();
-        }
-        let own_error = match outcome {
-            Ok(Ok(_)) => None,
-            Ok(Err(e)) => Some(e),
-            Err(panic) => std::panic::resume_unwind(panic),
-        };
-
-        // Wait for the pairs other clients were simulating.
-        let join_span = traced.then(|| self.runner.spans().enter("dedup_join", parent));
-        {
-            let mut inflight = self.inflight.lock().expect("claims table poisoned");
-            while foreign.iter().any(|claim| inflight.contains(claim)) {
-                inflight = self.finished.wait(inflight).expect("claims table poisoned");
-            }
-        }
-        if let Some(mut span) = join_span {
-            span.add_field("joined", Value::UInt(foreign.len() as u64));
-            self.runner
-                .emit_span(&span.finish())
-                .expect("writing JSONL trace");
-        }
-
-        if let Some(e) = own_error {
-            self.runner.observe(|r| r.incr("service.job_errors"));
-            return Err(e);
-        }
-
-        // Everything should be memoized now; assemble in request
-        // order. A pair a *foreign* claim owned can be missing when
-        // that owner's job failed — the waiter reports it as a
-        // structured error rather than crashing on a bare `expect`.
-        let assembled: Option<Vec<SimResult>> = pairs
-            .iter()
-            .zip(&keys)
-            .map(|((benchmark, _), key)| self.runner.cache.peek(*benchmark, key))
-            .collect();
-        let Some(results) = assembled else {
-            let missing: Vec<String> = pairs
-                .iter()
-                .zip(&keys)
-                .filter(|((benchmark, _), key)| self.runner.cache.peek(*benchmark, key).is_none())
-                .map(|((benchmark, config), _)| {
-                    format!("{} under {}", benchmark.name(), config.policy.paper_name())
-                })
-                .collect();
-            self.runner.observe(|r| r.incr("service.job_errors"));
-            return Err(format!(
-                "a concurrent client's overlapping simulation failed: {}",
-                missing.join(", ")
-            ));
-        };
-
-        // Each request beyond the ones this caller simulated was
-        // served from the cache (possibly filled by a foreign claim)
-        // and counts as a hit — in the stats counter and in the metric
-        // registry, so the two views of the memory tier always agree.
-        let hits = pairs.len().saturating_sub(mine.len()) as u64;
-        for _ in 0..hits {
-            self.runner.cache.count_hit();
-        }
-        self.runner.observe(|r| r.add("cache.memory_hits", hits));
-        Ok(results)
+        self.runner.inflight_pairs()
     }
 
     /// The response for a connection shed at admission because the
@@ -467,7 +288,6 @@ impl SweepService {
         let mut registry = self.runner.obs_snapshot();
         registry.set_gauge("service.uptime_seconds", self.uptime_seconds());
         registry.set_gauge("service.connections", self.connections() as f64);
-        registry.set_gauge("service.inflight", self.inflight_pairs() as f64);
         match request.get("format").and_then(Value::as_str) {
             None | Some("json") => Ok(Value::Object(vec![
                 ("ok".to_string(), Value::Bool(true)),
@@ -520,11 +340,15 @@ impl SweepService {
         self.runner
             .trace_event("sweep_start", &[("pairs", Value::UInt(pairs.len() as u64))])
             .map_err(|e| format!("trace sink failed: {e}"))?;
-        let results = self.run_pairs_under(&pairs, parent).inspect_err(|e| {
-            let _ = self
-                .runner
-                .trace_event("sweep_error", &[("error", Value::Str(e.clone()))]);
-        })?;
+        let results = self
+            .runner
+            .run_pairs_under(&pairs, parent)
+            .inspect_err(|e| {
+                self.runner.observe(|r| r.incr("service.job_errors"));
+                let _ = self
+                    .runner
+                    .trace_event("sweep_error", &[("error", Value::Str(e.clone()))]);
+            })?;
         self.runner
             .trace_event(
                 "sweep_finish",
@@ -569,9 +393,9 @@ impl SweepService {
 }
 
 /// Parses one sweep config spec: `policy` is required; `window_size`
-/// and `addr_sched_latency` override the paper's 128-entry defaults.
-/// Unknown knobs are rejected so a typo cannot silently sweep the
-/// default.
+/// and `addr_sched_latency` override the paper's 128-entry defaults,
+/// within [`cli::check_config`]'s range. Unknown knobs are rejected so
+/// a typo cannot silently sweep the default.
 fn parse_config(spec: &Value) -> Result<CoreConfig, String> {
     let fields = spec.as_object().ok_or("each config must be an object")?;
     let mut config = CoreConfig::paper_128();
@@ -597,6 +421,7 @@ fn parse_config(spec: &Value) -> Result<CoreConfig, String> {
         }
     }
     let policy = policy.ok_or("config has no \"policy\" field")?;
+    cli::check_config(&config)?;
     Ok(config.with_policy(policy))
 }
 
@@ -657,7 +482,7 @@ mod tests {
                         })
                     })
                     .collect();
-                let results = svc.run_pairs(&pairs).unwrap();
+                let results = svc.runner().run_pairs(&pairs).unwrap();
                 results
                     .iter()
                     .zip(&pairs)
@@ -752,6 +577,13 @@ mod tests {
             "{\"op\":\"sweep\",\"configs\":[{\"window_size\":64}]}",
             "{\"op\":\"sweep\",\"benchmarks\":[\"gcc\"],\
              \"configs\":[{\"policy\":\"NAS/NO\"}]}", // gcc not in suite
+            // Knobs out of range: wrapped latencies, an empty window.
+            "{\"op\":\"sweep\",\"configs\":[{\"policy\":\"NAS/NO\",\
+             \"addr_sched_latency\":18446744073709551615}]}",
+            "{\"op\":\"sweep\",\"configs\":[{\"policy\":\"NAS/NO\",\
+             \"addr_sched_latency\":9223372036854775808}]}",
+            "{\"op\":\"sweep\",\"configs\":[{\"policy\":\"NAS/NO\",\"window_size\":0}]}",
+            "{\"op\":\"sweep\",\"configs\":[{\"policy\":\"NAS/NO\",\"window_size\":5000}]}",
         ] {
             let (resp, stop) = svc.handle_line(bad);
             assert!(!stop, "{bad}");
@@ -776,9 +608,8 @@ mod tests {
         assert_eq!(parsed.get("inflight").unwrap().as_u64(), Some(0));
         let tiers = parsed.get("tiers").unwrap();
         // The repeat sweep's two pairs were served from the memory
-        // tier (at the service layer, mirrored into the registry, so
-        // this view agrees with `stats.cache_hits`); nothing touched a
-        // (non-attached) disk tier.
+        // tier (counted once, in the registry that `stats.cache_hits`
+        // also reads); nothing touched a (non-attached) disk tier.
         assert_eq!(tiers.get("memory_hits").unwrap().as_u64(), Some(2));
         assert_eq!(tiers.get("disk_hits").unwrap().as_u64(), Some(0));
         assert_eq!(tiers.get("disk_writes").unwrap().as_u64(), Some(0));

@@ -225,3 +225,44 @@ fn fault_counters_match_the_plan_arithmetic() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_joined_caller_waits_for_the_owner_and_shares_its_outcome() {
+    // The owner's wave sits on the queue after it claims every pair, so
+    // a second caller that starts once the claims are visible joins
+    // them instead of simulating.
+    let overlap = |plan: &str| {
+        let runner = Runner::new(suite())
+            .with_jobs(2)
+            .with_faults(FaultPlan::parse(plan).unwrap());
+        let (owner, joiner) = std::thread::scope(|scope| {
+            let owner = scope.spawn(|| runner.run_pairs(&pairs()));
+            while runner.inflight_pairs() < pairs().len() as u64 {
+                std::thread::yield_now();
+            }
+            let joiner = runner.run_pairs(&pairs());
+            (owner.join().unwrap(), joiner)
+        });
+        let obs = runner.obs_snapshot();
+        assert_eq!(obs.counter("dedup.claimed"), 4);
+        assert_eq!(obs.counter("dedup.joined"), 4);
+        assert_eq!(runner.inflight_pairs(), 0, "no claim outlives its owner");
+        (runner.stats(), owner, joiner)
+    };
+
+    let (stats, owner, joiner) = overlap("queue_delay=nth:1:500");
+    assert_eq!(fingerprint(&owner.unwrap()), baseline());
+    assert_eq!(fingerprint(&joiner.unwrap()), baseline());
+    assert_eq!(stats.simulations, 4, "the joiner simulated nothing");
+    assert_eq!(stats.cache_hits, 4, "the joiner was served from memory");
+
+    // The owner's jobs fail: the joiner gets a structured error naming
+    // the pairs, not a hang or a panic.
+    let (stats, owner, joiner) = overlap("queue_delay=nth:1:500;worker_panic=every:1");
+    assert!(owner.unwrap_err().contains("worker panicked twice"));
+    let err = joiner.unwrap_err();
+    assert!(err.contains("overlapping simulation failed"), "{err}");
+    assert!(err.contains("129.compress under NAS/NAV"), "{err}");
+    assert_eq!(stats.job_failures, 4);
+    assert_eq!(stats.cache_hits, 0);
+}

@@ -2,13 +2,15 @@
 //! workers, with in-request repeats served as cache hits, must preserve
 //! the exact requested pair set and the deterministic, request-ordered
 //! output at any `--jobs` — results are byte-identical to the `jobs 1`
-//! reference.
+//! reference — and concurrent callers on one runner must simulate each
+//! distinct pair once between them.
 
 use mds_core::{CoreConfig, Policy, SimResult};
 use mds_harness::{Runner, Suite};
 use mds_workloads::{Benchmark, SuiteParams};
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::collections::BTreeSet;
+use std::sync::{Barrier, OnceLock};
 
 const POLICIES: [Policy; 4] = [
     Policy::NasNaive,
@@ -97,5 +99,59 @@ proptest! {
         let again = runner.run_pairs(&pairs).unwrap();
         prop_assert_eq!(fingerprints(&results), fingerprints(&again));
         prop_assert_eq!(runner.stats().simulations, distinct, "no re-simulation");
+    }
+
+    /// 2–4 callers start together behind a barrier and request
+    /// overlapping random pair lists from one runner, with no service
+    /// in front of it. Each distinct pair is simulated once, by
+    /// whichever caller claimed it first; every caller gets the
+    /// sequential reference's bytes; and the dedup ledger accounts for
+    /// every request exactly once.
+    #[test]
+    fn concurrent_callers_simulate_each_distinct_pair_once(
+        lists in proptest::collection::vec(
+            proptest::collection::vec(0usize..POOL, 1..10),
+            2..5,
+        ),
+        jobs in 1usize..3,
+    ) {
+        let runner = Runner::new(suite()).with_jobs(jobs);
+        let barrier = Barrier::new(lists.len());
+        let transcripts: Vec<Vec<String>> = std::thread::scope(|scope| {
+            let callers: Vec<_> = lists
+                .iter()
+                .map(|picks| {
+                    let (runner, barrier) = (&runner, &barrier);
+                    scope.spawn(move || {
+                        let pairs: Vec<_> = picks.iter().map(|&i| pool_pair(i)).collect();
+                        barrier.wait();
+                        fingerprints(&runner.run_pairs(&pairs).unwrap())
+                    })
+                })
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        let reference = reference();
+        for (picks, got) in lists.iter().zip(&transcripts) {
+            prop_assert_eq!(got.len(), picks.len());
+            for (&pick, fingerprint) in picks.iter().zip(got) {
+                prop_assert_eq!(fingerprint, &reference[pick], "pair {}", pick);
+            }
+        }
+        let distinct = lists.iter().flatten().collect::<BTreeSet<_>>().len() as u64;
+        let requested = lists.iter().map(Vec::len).sum::<usize>() as u64;
+        let stats = runner.stats();
+        prop_assert_eq!(stats.simulations, distinct);
+        prop_assert_eq!(stats.cache_hits, requested - distinct);
+        let obs = runner.obs_snapshot();
+        prop_assert_eq!(obs.counter("service.pairs_requested"), requested);
+        prop_assert_eq!(
+            obs.counter("dedup.claimed")
+                + obs.counter("dedup.joined")
+                + obs.counter("dedup.served_from_cache"),
+            requested
+        );
+        prop_assert_eq!(obs.counter("dedup.claimed"), distinct);
+        prop_assert_eq!(runner.inflight_pairs(), 0);
     }
 }
