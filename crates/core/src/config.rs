@@ -26,7 +26,7 @@ pub enum Policy {
     /// synonym and may issue one cycle after that store issues.
     NasSync,
     /// Store-set synchronization (Chrysos & Emer) — an extension used by
-    /// the ablation benches, not one of the paper's five policies.
+    /// the `store_sets` ablation, not one of the paper's five policies.
     NasStoreSets,
     /// `NAS/ORACLE` — perfect, a-priori dependence knowledge: a load
     /// waits exactly for the stores that actually feed it.

@@ -8,7 +8,7 @@
 //! ```
 
 use mds_core::{CoreConfig, Policy, Recovery, WindowModel};
-use mds_harness::cli::{check_config, parse_benchmarks, parse_jobs, parse_scale};
+use mds_harness::cli::{check_config, parse_benchmarks, parse_jobs, parse_policy, parse_scale};
 use mds_harness::{geomean, Runner, Suite};
 use mds_workloads::{Benchmark, SuiteParams};
 use std::process::ExitCode;
@@ -16,13 +16,6 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: compare [--left POLICY] [--right POLICY] \
      [--benchmarks name,...] [--scale tiny|test|bench] [--window N] \
      [--sched-latency N] [--split UNITSxTASK] [--reissue left|right|both] [--jobs N]";
-
-fn parse_policy(s: &str) -> Option<Policy> {
-    Policy::ALL
-        .into_iter()
-        .chain([Policy::NasStoreSets])
-        .find(|p| p.paper_name().eq_ignore_ascii_case(s))
-}
 
 struct Args {
     left: Policy,
@@ -54,14 +47,8 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = it.next() {
         let mut next = || it.next().ok_or_else(|| format!("{a} needs a value"));
         match a.as_str() {
-            "--left" => {
-                let v = next()?;
-                args.left = parse_policy(&v).ok_or(format!("unknown policy {v}"))?;
-            }
-            "--right" => {
-                let v = next()?;
-                args.right = parse_policy(&v).ok_or(format!("unknown policy {v}"))?;
-            }
+            "--left" => args.left = parse_policy(&next()?)?,
+            "--right" => args.right = parse_policy(&next()?)?,
             "--benchmarks" => args.benchmarks = parse_benchmarks(&next()?)?,
             "--scale" => args.params = parse_scale(&next()?)?,
             "--window" => {

@@ -2,30 +2,20 @@
 //!
 //! ```text
 //! mds-report spans TRACE.jsonl [--top N] [--out FILE]
-//! mds-report bench-diff BASELINE.json CURRENT.json
-//!            [--max-total-pct P] [--max-experiment-pct P]
-//!            [--min-seconds S] [--informational] [--out FILE]
 //! ```
 //!
 //! `spans` aggregates the span records of a `--trace-out` JSONL stream
 //! (from `reproduce` or `mds-serve`) into per-phase latency tables,
 //! per-benchmark time breakdowns, the slowest configurations, and
-//! cache-hit / queue-wait summaries.
-//!
-//! `bench-diff` compares two `BENCH_reproduce.json` records and exits
-//! with code 2 when a gated metric regressed past its threshold —
-//! unless `--informational`, which reports but always exits 0. With
-//! `--out`, the rendered report is also written atomically to a file.
+//! cache-hit / queue-wait summaries. With `--out`, the rendered report
+//! is also written atomically to a file.
 
-use mds_harness::report::{analyze_spans, bench_diff, DiffThresholds};
-use mds_harness::{emit, report};
-use serde::Value;
+use mds_harness::emit;
+use mds_harness::report::analyze_spans;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: mds-report spans TRACE.jsonl [--top N] [--out FILE]\n\
-       mds-report bench-diff BASELINE.json CURRENT.json [--max-total-pct P]\n\
-                  [--max-experiment-pct P] [--min-seconds S] [--informational] [--out FILE]";
+const USAGE: &str = "usage: mds-report spans TRACE.jsonl [--top N] [--out FILE]";
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -35,11 +25,10 @@ fn main() -> ExitCode {
     }
     let result = match argv[0].as_str() {
         "spans" => spans(&argv[1..]),
-        "bench-diff" => diff(&argv[1..]),
         other => Err(format!("unknown subcommand {other}\n{USAGE}")),
     };
     match result {
-        Ok(code) => ExitCode::from(code),
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("mds-report: {msg}");
             ExitCode::FAILURE
@@ -47,21 +36,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn read(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
-}
-
-/// Prints `text`, and with `--out` also writes it atomically.
-fn publish(text: &str, out: Option<&PathBuf>) -> Result<(), String> {
-    print!("{text}");
-    if let Some(path) = out {
-        emit::write_atomic(path, text)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    }
-    Ok(())
-}
-
-fn spans(args: &[String]) -> Result<u8, String> {
+fn spans(args: &[String]) -> Result<(), String> {
     let mut trace = None;
     let mut top = 10usize;
     let mut out = None;
@@ -86,57 +61,12 @@ fn spans(args: &[String]) -> Result<u8, String> {
         }
     }
     let trace = trace.ok_or_else(|| format!("spans needs a TRACE.jsonl path\n{USAGE}"))?;
-    let report = analyze_spans(&read(&trace)?)?;
-    publish(&report.render(top), out.as_ref())?;
-    Ok(0)
-}
-
-fn diff(args: &[String]) -> Result<u8, String> {
-    let mut files: Vec<String> = Vec::new();
-    let mut thresholds = DiffThresholds::default();
-    let mut informational = false;
-    let mut out = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        let parse = |flag: &str, v: &str| -> Result<f64, String> {
-            v.parse().map_err(|e| format!("bad {flag} value: {e}"))
-        };
-        match arg.as_str() {
-            "--max-total-pct" => {
-                thresholds.max_total_pct = parse("--max-total-pct", value("--max-total-pct")?)?;
-            }
-            "--max-experiment-pct" => {
-                thresholds.max_experiment_pct =
-                    parse("--max-experiment-pct", value("--max-experiment-pct")?)?;
-            }
-            "--min-seconds" => {
-                thresholds.min_seconds = parse("--min-seconds", value("--min-seconds")?)?;
-            }
-            "--informational" => informational = true,
-            "--out" => out = Some(PathBuf::from(value("--out")?)),
-            other if !other.starts_with("--") && files.len() < 2 => {
-                files.push(other.to_string());
-            }
-            other => return Err(format!("unknown argument {other}\n{USAGE}")),
-        }
+    let jsonl = std::fs::read_to_string(&trace).map_err(|e| format!("cannot read {trace}: {e}"))?;
+    let text = analyze_spans(&jsonl)?.render(top);
+    print!("{text}");
+    if let Some(path) = out {
+        emit::write_atomic(&path, &text)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
-    if files.len() != 2 {
-        return Err(format!(
-            "bench-diff needs BASELINE.json and CURRENT.json\n{USAGE}"
-        ));
-    }
-    let load = |path: &str| -> Result<Value, String> {
-        Value::parse_json(read(path)?.trim()).map_err(|e| format!("bad JSON in {path}: {e}"))
-    };
-    let diff: report::BenchDiff = bench_diff(&load(&files[0])?, &load(&files[1])?, &thresholds)?;
-    publish(&diff.render(), out.as_ref())?;
-    if informational && diff.has_regressions() {
-        eprintln!("mds-report: regressions found (informational mode, exiting 0)");
-    }
-    Ok(diff.exit_code(informational))
+    Ok(())
 }

@@ -16,10 +16,12 @@
 //! once. With `--cache-dir DIR`, results also persist to a
 //! content-addressed on-disk store keyed by (trace fingerprint, config,
 //! schema version): a rerun with the same suite parameters replays
-//! entirely from disk, simulating nothing. With `--out DIR`, every report is written as rendered text
-//! (`.txt`), serialized JSON (`.json`), and tabular CSV (`.csv`), and a
-//! `BENCH_reproduce.json` records per-experiment wall-clock timings and
-//! the cache counters (written atomically: temp file + rename).
+//! entirely from disk, simulating nothing. With `--out DIR`, every
+//! report is written there as rendered text (`.txt`), serialized JSON
+//! (`.json`), and tabular CSV (`.csv`), next to a `BENCH_reproduce.json`
+//! that records per-experiment wall-clock timings and the cache
+//! counters (written atomically: temp file + rename). Without `--out`,
+//! the reports go to stdout only.
 //!
 //! With `--trace-out`, a structured JSONL event trace is appended as
 //! the run progresses: `run_start`/`run_finish`, per-experiment
@@ -353,9 +355,12 @@ impl Reproduce {
         self.emit("stability", &rep.render(), Some(&rep.to_value()))
     }
 
-    /// Writes `BENCH_reproduce.json` (into `--out` when given, else the
-    /// working directory) with per-experiment timings and cache stats.
+    /// With `--out`, writes `BENCH_reproduce.json` there with
+    /// per-experiment timings and cache stats.
     fn write_bench_record(&self, trace_seconds: f64, total_seconds: f64) -> Result<(), String> {
+        let Some(dir) = &self.args.out else {
+            return Ok(());
+        };
         let experiments: Vec<Value> = self
             .timings
             .iter()
@@ -381,10 +386,7 @@ impl Reproduce {
                 .map(|(key, value)| (key.to_string(), value))
                 .collect(),
         );
-        let path = match &self.args.out {
-            Some(dir) => dir.join("BENCH_reproduce.json"),
-            None => std::path::PathBuf::from("BENCH_reproduce.json"),
-        };
+        let path = dir.join("BENCH_reproduce.json");
         // Atomic so a killed run (or a concurrent artifact collector)
         // never leaves a truncated record behind.
         emit::write_atomic(&path, &record.to_json())

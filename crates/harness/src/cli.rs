@@ -2,12 +2,12 @@
 //!
 //! The binaries (`reproduce`, `compare`, `profile`) keep their I/O and
 //! orchestration, but everything that can be got wrong in parsing — the
-//! benchmark-name resolution rules, experiment-name validation, scale
-//! and job-count parsing, the range of config knobs outside input may
-//! set — lives here where tests can reach it.
+//! benchmark- and policy-name resolution rules, experiment-name
+//! validation, scale and job-count parsing, the range of config knobs
+//! outside input may set — lives here where tests can reach it.
 
 use crate::faults::FaultPlan;
-use mds_core::{CoreConfig, WindowModel};
+use mds_core::{CoreConfig, Policy, WindowModel};
 use mds_workloads::{Benchmark, SuiteParams};
 use std::path::PathBuf;
 
@@ -396,9 +396,38 @@ pub fn resolve_benchmark(name: &str) -> Result<Benchmark, String> {
 ///
 /// # Errors
 ///
-/// Propagates the first unknown or ambiguous name.
+/// Propagates the first unknown or ambiguous name, and rejects a
+/// benchmark listed twice, under any spelling: it would be simulated
+/// and reported twice, and weigh twice in the suite means.
 pub fn parse_benchmarks(list: &str) -> Result<Vec<Benchmark>, String> {
-    list.split(',').map(resolve_benchmark).collect()
+    let mut benchmarks = Vec::new();
+    for name in list.split(',') {
+        let benchmark = resolve_benchmark(name)?;
+        if benchmarks.contains(&benchmark) {
+            return Err(format!("{name} repeats benchmark {benchmark}"));
+        }
+        benchmarks.push(benchmark);
+    }
+    Ok(benchmarks)
+}
+
+/// Resolves a paper-style policy name (`NAS/SYNC`, `AS/NO`, …),
+/// ignoring case: the policies of [`Policy::ALL`] plus `NAS/SSET`.
+///
+/// # Errors
+///
+/// Unknown names, with the list of known ones.
+pub fn parse_policy(name: &str) -> Result<Policy, String> {
+    let known = || Policy::ALL.into_iter().chain([Policy::NasStoreSets]);
+    known()
+        .find(|p| p.paper_name().eq_ignore_ascii_case(name))
+        .ok_or_else(|| {
+            let names: Vec<&str> = known().map(Policy::paper_name).collect();
+            format!(
+                "unknown policy {name:?} (expected one of: {})",
+                names.join(", ")
+            )
+        })
 }
 
 /// Largest window, in entries, a request or flag may ask for.
@@ -654,6 +683,10 @@ mod tests {
         assert!(parse_reproduce_args(&strs(&["--jobs", "many"])).is_err());
         assert!(parse_reproduce_args(&strs(&["--trace-every", "often"])).is_err());
         assert!(parse_reproduce_args(&strs(&["--trace-out"])).is_err());
+        for list in ["compress,compress", "compress,129.compress"] {
+            let err = parse_reproduce_args(&strs(&["--benchmarks", list])).unwrap_err();
+            assert!(err.contains("129.compress"), "{err}");
+        }
     }
 
     #[test]
@@ -683,6 +716,18 @@ mod tests {
         assert!(resolve_benchmark("nosuch")
             .unwrap_err()
             .contains("unknown benchmark"));
+    }
+
+    #[test]
+    fn policy_names_resolve_ignoring_case() {
+        let paper = "NAS/NO NAS/NAV NAS/SEL NAS/STORE NAS/SYNC NAS/SSET NAS/ORACLE AS/NO AS/NAV";
+        for name in paper.split(' ') {
+            assert_eq!(parse_policy(name).map(Policy::paper_name), Ok(name));
+        }
+        assert_eq!(parse_policy("nas/sync"), Ok(Policy::NasSync));
+        let err = parse_policy("NAS/MAYBE").unwrap_err();
+        assert!(err.contains("unknown policy \"NAS/MAYBE\""), "{err}");
+        assert!(err.contains("NAS/SSET"), "should list known names: {err}");
     }
 
     #[test]

@@ -1,17 +1,15 @@
-//! Post-hoc analysis of observability artifacts.
+//! Post-hoc analysis of observability artifacts, backing the
+//! `mds-report` binary.
 //!
-//! Two analyses, both backing the `mds-report` binary:
-//!
-//! - [`analyze_spans`] aggregates the span records a traced run (or
-//!   server) appended to its JSONL stream into per-phase latency
-//!   tables, per-benchmark time breakdowns, the slowest configurations,
-//!   and cache-hit / queue-wait summaries.
-//! - [`bench_diff`] compares two `BENCH_reproduce.json` records under
-//!   configurable regression thresholds, so CI can gate on "this change
-//!   did not slow the reproduce pipeline down".
+//! [`analyze_spans`] aggregates the span records a traced run (or
+//! server) appended to its JSONL stream into per-phase latency tables,
+//! per-benchmark time breakdowns, the slowest configurations, and
+//! cache-hit / queue-wait summaries.
 //!
 //! Everything here consumes artifacts *after the fact*; nothing in this
-//! module runs simulations or touches the live registry.
+//! module runs simulations or touches the live registry. Durations are
+//! summed with saturating adds, so a corrupt or adversarial trace pins
+//! a total at `u64::MAX` instead of wrapping or panicking.
 
 use crate::table::TextTable;
 use serde::Value;
@@ -113,6 +111,10 @@ fn ms(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1e6)
 }
 
+fn saturating_sum(durs: impl IntoIterator<Item = u64>) -> u64 {
+    durs.into_iter().fold(0, u64::saturating_add)
+}
+
 /// Parses a span/event JSONL stream and aggregates its span records.
 ///
 /// Lines must each be a JSON object; records with `"event": "span"`
@@ -188,7 +190,7 @@ fn aggregate(spans: Vec<Span>, events: HashMap<String, u64>, lines: u64) -> Span
             PhaseStat {
                 name: name.to_string(),
                 count: durs.len() as u64,
-                total_ns: durs.iter().sum(),
+                total_ns: saturating_sum(durs.iter().copied()),
                 p50_ns: percentile(&durs, 0.50),
                 p95_ns: percentile(&durs, 0.95),
                 p99_ns: percentile(&durs, 0.99),
@@ -216,7 +218,7 @@ fn aggregate(spans: Vec<Span>, events: HashMap<String, u64>, lines: u64) -> Span
                 phase_ns: HashMap::new(),
             });
         entry.configs += 1;
-        entry.total_ns += s.dur_ns;
+        entry.total_ns = entry.total_ns.saturating_add(s.dur_ns);
         configs.push(ConfigStat {
             benchmark: bench,
             policy: s.policy.clone().unwrap_or_else(|| "?".to_string()),
@@ -230,7 +232,8 @@ fn aggregate(spans: Vec<Span>, events: HashMap<String, u64>, lines: u64) -> Span
         };
         if LEAF_PHASES.contains(&s.name.as_str()) {
             let entry = bench_stats.get_mut(bench).expect("owner registered above");
-            *entry.phase_ns.entry(s.name.clone()).or_insert(0) += s.dur_ns;
+            let total = entry.phase_ns.entry(s.name.clone()).or_insert(0);
+            *total = total.saturating_add(s.dur_ns);
         }
     }
     let mut benchmarks: Vec<BenchmarkStat> = bench_stats.into_values().collect();
@@ -294,7 +297,7 @@ impl SpanReport {
     pub fn render(&self, top: usize) -> String {
         let mut out = String::new();
         out.push_str("== Phase latency (ms) ==\n");
-        let leaf_total: u64 = LEAF_PHASES.iter().map(|p| self.total_ns(p)).sum();
+        let leaf_total = saturating_sum(LEAF_PHASES.iter().map(|p| self.total_ns(p)));
         let mut t = TextTable::new(&["phase", "count", "total", "share", "p50", "p95", "p99"]);
         for p in &self.phases {
             let share = if LEAF_PHASES.contains(&p.name.as_str()) && leaf_total > 0 {
@@ -333,8 +336,8 @@ impl SpanReport {
                     ms(b.total_ns),
                     ms(phase("simulate")),
                     ms(phase("queue_wait")),
-                    ms(phase("artifact_build") + phase("trace_gen")),
-                    ms(phase("disk_read") + phase("disk_write")),
+                    ms(phase("artifact_build").saturating_add(phase("trace_gen"))),
+                    ms(phase("disk_read").saturating_add(phase("disk_write"))),
                 ]);
             }
             out.push_str(&t.render());
@@ -365,272 +368,6 @@ impl SpanReport {
             100.0 * self.cache_hit_rate(),
             100.0 * self.queue_wait_share(),
         ));
-        out
-    }
-}
-
-/// Regression thresholds for [`bench_diff`].
-#[derive(Debug, Clone, Copy)]
-pub struct DiffThresholds {
-    /// Max allowed relative growth (percent) for run-level timings
-    /// (`total_seconds`, `simulation_seconds`).
-    pub max_total_pct: f64,
-    /// Max allowed relative growth (percent) for any single
-    /// experiment's wall time.
-    pub max_experiment_pct: f64,
-    /// Absolute slack in seconds: a growth smaller than this never
-    /// counts as a regression, whatever the percentage. Shields the
-    /// gate from noise on millisecond-scale timings.
-    pub min_seconds: f64,
-}
-
-impl Default for DiffThresholds {
-    fn default() -> DiffThresholds {
-        DiffThresholds {
-            max_total_pct: 25.0,
-            max_experiment_pct: 50.0,
-            min_seconds: 0.05,
-        }
-    }
-}
-
-/// One compared metric.
-#[derive(Debug, Clone)]
-pub struct DiffRow {
-    /// Metric name (`total_seconds`, `experiment:fig2`, ...).
-    pub metric: String,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Current value.
-    pub current: f64,
-    /// Whether this metric participates in the regression gate
-    /// (counters and informational timings do not).
-    pub gated: bool,
-    /// Whether the gate tripped on this metric.
-    pub regressed: bool,
-}
-
-/// The outcome of comparing two `BENCH_reproduce.json` records.
-#[derive(Debug, Clone)]
-pub struct BenchDiff {
-    /// Every compared metric, run-level first, then per-experiment.
-    pub rows: Vec<DiffRow>,
-    /// Human-readable description of each tripped gate.
-    pub regressions: Vec<String>,
-    /// Non-fatal observations (workload mismatch, missing experiments).
-    pub notes: Vec<String>,
-}
-
-fn number(v: &Value, key: &str) -> Option<f64> {
-    v.get(key).and_then(Value::as_f64)
-}
-
-/// Compares `current` against `baseline` (both parsed
-/// `BENCH_reproduce.json` records) under `thresholds`.
-///
-/// Run-level timings gate at `max_total_pct`, per-experiment timings at
-/// `max_experiment_pct`; both only when the absolute growth exceeds
-/// `min_seconds`. The `simulations` counter gates on *any* increase
-/// when the two records describe the same workload (same `benchmarks`,
-/// `dyn_target`) — more simulations for the same sweep means the
-/// memoization layer regressed. Everything else is informational.
-///
-/// # Errors
-///
-/// Returns an error when either record lacks `total_seconds` (i.e. is
-/// not a bench record at all).
-pub fn bench_diff(
-    baseline: &Value,
-    current: &Value,
-    thresholds: &DiffThresholds,
-) -> Result<BenchDiff, String> {
-    for (label, v) in [("baseline", baseline), ("current", current)] {
-        if number(v, "total_seconds").is_none() {
-            return Err(format!("{label} record has no total_seconds"));
-        }
-    }
-    let mut rows = Vec::new();
-    let mut regressions = Vec::new();
-    let mut notes = Vec::new();
-
-    let same_workload = ["benchmarks", "dyn_target"].iter().all(|k| {
-        let (b, c) = (baseline.get(k), current.get(k));
-        b.map(Value::to_json) == c.map(Value::to_json)
-    });
-    if !same_workload {
-        notes.push(
-            "workload mismatch (benchmarks/dyn_target differ): counters not gated".to_string(),
-        );
-    }
-
-    let gate = |metric: String, b: f64, c: f64, max_pct: f64| -> (DiffRow, Option<String>) {
-        let grew = c - b;
-        let regressed = grew > thresholds.min_seconds && c > b * (1.0 + max_pct / 100.0);
-        let message = regressed.then(|| {
-            format!(
-                "{metric}: {b:.3}s -> {c:.3}s (+{:.1}%, limit +{max_pct:.0}%)",
-                100.0 * grew / b.max(f64::MIN_POSITIVE)
-            )
-        });
-        let row = DiffRow {
-            metric,
-            baseline: b,
-            current: c,
-            gated: true,
-            regressed,
-        };
-        (row, message)
-    };
-    for key in ["total_seconds", "simulation_seconds"] {
-        if let (Some(b), Some(c)) = (number(baseline, key), number(current, key)) {
-            let (row, message) = gate(key.to_string(), b, c, thresholds.max_total_pct);
-            rows.push(row);
-            regressions.extend(message);
-        }
-    }
-    for key in ["trace_generation_seconds", "prep_seconds"] {
-        if let (Some(b), Some(c)) = (number(baseline, key), number(current, key)) {
-            rows.push(DiffRow {
-                metric: key.to_string(),
-                baseline: b,
-                current: c,
-                gated: false,
-                regressed: false,
-            });
-        }
-    }
-
-    // The memoization gate: an identical workload must not simulate
-    // more than the baseline did.
-    if let (Some(b), Some(c)) = (
-        number(baseline, "simulations"),
-        number(current, "simulations"),
-    ) {
-        let regressed = same_workload && c > b;
-        if regressed {
-            regressions.push(format!(
-                "simulations: {b:.0} -> {c:.0} (same workload must not simulate more)"
-            ));
-        }
-        rows.push(DiffRow {
-            metric: "simulations".to_string(),
-            baseline: b,
-            current: c,
-            gated: same_workload,
-            regressed,
-        });
-    }
-    // Ungated informational counters. A missing *baseline* value reads
-    // as 0, while a record-less *current* side omits the row.
-    for key in ["cache_hits", "disk_hits", "disk_writes", "skipped_cycles"] {
-        if let Some(c) = number(current, key) {
-            rows.push(DiffRow {
-                metric: key.to_string(),
-                baseline: number(baseline, key).unwrap_or(0.0),
-                current: c,
-                gated: false,
-                regressed: false,
-            });
-        }
-    }
-
-    let experiments = |v: &Value| -> HashMap<String, f64> {
-        v.get("experiments")
-            .and_then(Value::as_array)
-            .map(|exps| {
-                exps.iter()
-                    .filter_map(|e| {
-                        let name = e.get("name").and_then(Value::as_str)?;
-                        Some((name.to_string(), number(e, "seconds")?))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let base_exps = experiments(baseline);
-    let curr_exps = experiments(current);
-    let mut names: Vec<&String> = base_exps.keys().collect();
-    names.sort();
-    for name in names {
-        match curr_exps.get(name) {
-            Some(c) => {
-                let (row, message) = gate(
-                    format!("experiment:{name}"),
-                    base_exps[name],
-                    *c,
-                    thresholds.max_experiment_pct,
-                );
-                rows.push(row);
-                regressions.extend(message);
-            }
-            None => notes.push(format!("experiment {name} missing from current record")),
-        }
-    }
-    for name in curr_exps.keys() {
-        if !base_exps.contains_key(name) {
-            notes.push(format!("experiment {name} missing from baseline record"));
-        }
-    }
-
-    Ok(BenchDiff {
-        rows,
-        regressions,
-        notes,
-    })
-}
-
-impl BenchDiff {
-    /// Whether any gated metric tripped its threshold.
-    pub fn has_regressions(&self) -> bool {
-        !self.regressions.is_empty()
-    }
-
-    /// The process exit code the `bench-diff` subcommand should return:
-    /// `2` on regression, `0` otherwise — always `0` in informational
-    /// mode.
-    pub fn exit_code(&self, informational: bool) -> u8 {
-        if self.has_regressions() && !informational {
-            2
-        } else {
-            0
-        }
-    }
-
-    /// Renders the comparison table plus any regressions and notes.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("== Bench comparison ==\n");
-        let mut t = TextTable::new(&["metric", "baseline", "current", "delta", "gate"]);
-        for r in &self.rows {
-            let delta = if r.baseline.abs() > f64::EPSILON {
-                format!("{:+.1}%", 100.0 * (r.current - r.baseline) / r.baseline)
-            } else {
-                "-".to_string()
-            };
-            let gate = match (r.gated, r.regressed) {
-                (_, true) => "REGRESSED",
-                (true, false) => "ok",
-                (false, false) => "info",
-            };
-            t.row_owned(vec![
-                r.metric.clone(),
-                format!("{:.3}", r.baseline),
-                format!("{:.3}", r.current),
-                delta,
-                gate.to_string(),
-            ]);
-        }
-        out.push_str(&t.render());
-        for note in &self.notes {
-            out.push_str(&format!("note: {note}\n"));
-        }
-        if self.regressions.is_empty() {
-            out.push_str("no regressions\n");
-        } else {
-            for r in &self.regressions {
-                out.push_str(&format!("REGRESSION: {r}\n"));
-            }
-        }
         out
     }
 }
@@ -713,80 +450,34 @@ mod tests {
         assert!(analyze_spans("{\"event\":\"span\",\"name\":\"x\"}").is_err());
     }
 
-    fn bench_record(total: f64, sims: u64, fig2: f64) -> Value {
-        Value::parse_json(&format!(
-            r#"{{"benchmarks":6,"dyn_target":100000,"jobs":4,
-                 "total_seconds":{total},"simulation_seconds":{},
-                 "trace_generation_seconds":0.2,"prep_seconds":0.1,
-                 "simulations":{sims},"cache_hits":40,"disk_hits":0,"disk_writes":{sims},
-                 "experiments":[{{"name":"table1","seconds":0.5}},
-                                {{"name":"fig2","seconds":{fig2}}}]}}"#,
-            total * 0.8
-        ))
-        .expect("valid record")
+    fn max_span(name: &str, id: u64, parent: u64) -> String {
+        format!(
+            r#"{{"event":"span","name":"{name}","span":{id},"parent":{parent},"start_ns":0,"dur_ns":{},"benchmark":"compress"}}"#,
+            u64::MAX
+        )
     }
 
     #[test]
-    fn bench_diff_passes_within_thresholds() {
-        let base = bench_record(10.0, 50, 1.0);
-        let curr = bench_record(10.5, 50, 1.1);
-        let diff = bench_diff(&base, &curr, &DiffThresholds::default()).expect("diffable");
-        assert!(!diff.has_regressions(), "{:?}", diff.regressions);
-        assert_eq!(diff.exit_code(false), 0);
-        assert!(diff.render().contains("no regressions"));
-    }
+    fn huge_durations_saturate_instead_of_wrapping() {
+        let two = [max_span("simulate", 1, 0), max_span("simulate", 2, 0)].join("\n");
+        let report = analyze_spans(&two).expect("parses");
+        assert_eq!(report.total_ns("simulate"), u64::MAX);
+        report.render(5);
 
-    #[test]
-    fn bench_diff_trips_on_injected_regression() {
-        let base = bench_record(10.0, 50, 1.0);
-        // +40% total (limit 25%) and a fig2 blowup (limit 50%).
-        let curr = bench_record(14.0, 50, 2.0);
-        let diff = bench_diff(&base, &curr, &DiffThresholds::default()).expect("diffable");
-        assert!(diff.has_regressions());
-        assert_eq!(diff.exit_code(false), 2);
-        assert_eq!(diff.exit_code(true), 0, "informational mode never fails");
-        let text = diff.render();
-        assert!(text.contains("REGRESSION: total_seconds"));
-        assert!(text.contains("REGRESSION: experiment:fig2"));
-    }
-
-    #[test]
-    fn bench_diff_gates_memoization_on_same_workload_only() {
-        let base = bench_record(10.0, 50, 1.0);
-        let curr = bench_record(10.0, 60, 1.0);
-        let t = DiffThresholds::default();
-        let diff = bench_diff(&base, &curr, &t).expect("diffable");
-        assert!(diff.has_regressions(), "more simulations must trip");
-        assert!(diff.regressions[0].contains("simulations"));
-
-        // Same counter drift across different workloads: informational.
-        let mut other = bench_record(10.0, 60, 1.0);
-        if let Value::Object(fields) = &mut other {
-            for (k, v) in fields.iter_mut() {
-                if k.as_str() == "dyn_target" {
-                    *v = Value::UInt(999);
-                }
+        // Per-benchmark totals, phase sums and the combined columns.
+        let mut lines = Vec::new();
+        for run in [10, 20] {
+            lines.push(max_span("config_run", run, 0));
+            for (i, leaf) in ["trace_gen", "artifact_build", "disk_read", "disk_write"]
+                .into_iter()
+                .enumerate()
+            {
+                lines.push(max_span(leaf, run + 1 + i as u64, run));
             }
         }
-        let diff = bench_diff(&base, &other, &t).expect("diffable");
-        assert!(!diff.has_regressions());
-        assert!(diff.notes.iter().any(|n| n.contains("workload mismatch")));
-    }
-
-    #[test]
-    fn bench_diff_ignores_sub_noise_floor_growth() {
-        // +100% relatively, but only 20ms absolutely: under the floor.
-        let base = bench_record(0.02, 50, 0.001);
-        let curr = bench_record(0.04, 50, 0.002);
-        let diff = bench_diff(&base, &curr, &DiffThresholds::default()).expect("diffable");
-        assert!(!diff.has_regressions());
-    }
-
-    #[test]
-    fn bench_diff_rejects_non_bench_records() {
-        let not_bench = Value::parse_json("{\"rows\":[]}").expect("valid json");
-        let bench = bench_record(1.0, 1, 0.1);
-        assert!(bench_diff(&not_bench, &bench, &DiffThresholds::default()).is_err());
-        assert!(bench_diff(&bench, &not_bench, &DiffThresholds::default()).is_err());
+        let report = analyze_spans(&lines.join("\n")).expect("parses");
+        assert_eq!(report.benchmarks[0].total_ns, u64::MAX);
+        assert_eq!(report.benchmarks[0].phase_ns["disk_read"], u64::MAX);
+        report.render(5);
     }
 }

@@ -15,7 +15,7 @@
 
 use crate::cli;
 use crate::runner::Runner;
-use mds_core::{CoreConfig, Policy};
+use mds_core::CoreConfig;
 use mds_obs::{snapshot, to_prometheus, SpanId};
 use mds_workloads::Benchmark;
 use serde::{Serialize, Value};
@@ -404,7 +404,7 @@ fn parse_config(spec: &Value) -> Result<CoreConfig, String> {
         match knob.as_str() {
             "policy" => {
                 let name = value.as_str().ok_or("\"policy\" must be a string")?;
-                policy = Some(parse_policy(name)?);
+                policy = Some(cli::parse_policy(name)?);
             }
             "window_size" => {
                 let n = value.as_u64().ok_or("\"window_size\" must be an integer")?;
@@ -425,28 +425,10 @@ fn parse_config(spec: &Value) -> Result<CoreConfig, String> {
     Ok(config.with_policy(policy))
 }
 
-/// Resolves a paper-style policy name (`NAS/SYNC`, `AS/NO`, …).
-fn parse_policy(name: &str) -> Result<Policy, String> {
-    Policy::ALL
-        .into_iter()
-        .chain([Policy::NasStoreSets])
-        .find(|p| p.paper_name() == name)
-        .ok_or_else(|| {
-            let known: Vec<&str> = Policy::ALL
-                .into_iter()
-                .chain([Policy::NasStoreSets])
-                .map(Policy::paper_name)
-                .collect();
-            format!(
-                "unknown policy {name:?} (expected one of: {})",
-                known.join(", ")
-            )
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::parse_policy;
     use crate::runner::Suite;
     use mds_workloads::SuiteParams;
     use std::sync::Arc;

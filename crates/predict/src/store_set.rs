@@ -2,7 +2,7 @@
 //!
 //! Implemented as an *extension* beyond the paper's five policies: the
 //! paper cites store sets as the split-window state of the art; the
-//! ablation benches compare it against the MDPT speculation /
+//! `store_sets` ablation compares it against the MDPT speculation /
 //! synchronization mechanism under the continuous window.
 //!
 //! Two structures: the Store Set ID Table (SSIT), indexed by instruction
