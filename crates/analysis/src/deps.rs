@@ -98,19 +98,20 @@ impl DepProfile {
                 continue;
             }
             let inst = trace.inst(i);
-            for b in rec.effaddr..rec.effaddr + rec.size as u64 {
+            // An access wraps around the top of the address space, as
+            // the interpreter's memory does.
+            let bytes = || (0..rec.size as u64).map(|k| rec.effaddr.wrapping_add(k));
+            for b in bytes() {
                 touched.insert(b, ());
             }
             if inst.op.is_store() {
                 stores += 1;
-                for b in rec.effaddr..rec.effaddr + rec.size as u64 {
+                for b in bytes() {
                     last_writer.insert(b, i as u32);
                 }
             } else if inst.op.is_load() {
                 loads += 1;
-                let youngest = (rec.effaddr..rec.effaddr + rec.size as u64)
-                    .filter_map(|b| last_writer.get(&b).copied())
-                    .max();
+                let youngest = bytes().filter_map(|b| last_writer.get(&b).copied()).max();
                 if let Some(p) = youngest {
                     dependent += 1;
                     distances.add(i as u64 - p as u64);

@@ -55,7 +55,7 @@ impl StrideProfile {
                 deltas: HashMap::new(),
             });
             if acc.count > 0 {
-                let d = rec.effaddr as i64 - acc.last as i64;
+                let d = rec.effaddr.wrapping_sub(acc.last) as i64;
                 *acc.deltas.entry(d).or_insert(0) += 1;
             }
             acc.last = rec.effaddr;

@@ -2,7 +2,7 @@
 
 use mds_frontend::FrontEndStats;
 use mds_mem::MemStats;
-use mds_obs::{CpiStack, Histogram, Metric, MetricSource};
+use mds_obs::{CpiStack, Field, Fields, Histogram};
 
 /// Counters accumulated over one timing simulation.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -104,70 +104,56 @@ impl SimStats {
             self.false_dep_cycles as f64 / self.false_dep_loads as f64
         }
     }
-
-    /// Adds every counter, histogram, and CPI-stack entry of `other`
-    /// into `self` (for aggregating across benchmarks or runs).
-    pub fn absorb(&mut self, other: &SimStats) {
-        self.cycles += other.cycles;
-        self.committed += other.committed;
-        self.committed_loads += other.committed_loads;
-        self.committed_stores += other.committed_stores;
-        self.misspeculations += other.misspeculations;
-        self.squashed += other.squashed;
-        self.reissued += other.reissued;
-        self.false_dep_loads += other.false_dep_loads;
-        self.false_dep_cycles += other.false_dep_cycles;
-        self.true_dep_loads += other.true_dep_loads;
-        self.forwarded_loads += other.forwarded_loads;
-        self.speculative_loads += other.speculative_loads;
-        self.sync_delayed_loads += other.sync_delayed_loads;
-        self.silent_fixups += other.silent_fixups;
-        self.cpi.merge(&other.cpi);
-        self.false_dep_delay.merge(&other.false_dep_delay);
-        self.squash_penalty.merge(&other.squash_penalty);
-        self.window_occupancy.merge(&other.window_occupancy);
-        self.forward_distance.merge(&other.forward_distance);
-        self.frontend.merge(&other.frontend);
-        self.mem.merge(&other.mem);
-    }
 }
 
-impl MetricSource for SimStats {
-    fn visit(&self, out: &mut dyn FnMut(&str, Metric<'_>)) {
-        out("cycles", Metric::Counter(self.cycles));
-        out("committed", Metric::Counter(self.committed));
-        out("committed_loads", Metric::Counter(self.committed_loads));
-        out("committed_stores", Metric::Counter(self.committed_stores));
-        out("misspeculations", Metric::Counter(self.misspeculations));
-        out("squashed", Metric::Counter(self.squashed));
-        out("reissued", Metric::Counter(self.reissued));
-        out("false_dep_loads", Metric::Counter(self.false_dep_loads));
-        out("false_dep_cycles", Metric::Counter(self.false_dep_cycles));
-        out("true_dep_loads", Metric::Counter(self.true_dep_loads));
-        out("forwarded_loads", Metric::Counter(self.forwarded_loads));
-        out("speculative_loads", Metric::Counter(self.speculative_loads));
-        out(
-            "sync_delayed_loads",
-            Metric::Counter(self.sync_delayed_loads),
-        );
-        out("silent_fixups", Metric::Counter(self.silent_fixups));
-        out("ipc", Metric::Gauge(self.ipc()));
-        self.cpi
-            .visit(&mut |name, cycles| out(&format!("cpi.{name}"), Metric::Counter(cycles)));
-        out("false_dep_delay", Metric::Histogram(&self.false_dep_delay));
-        out("squash_penalty", Metric::Histogram(&self.squash_penalty));
-        out(
-            "window_occupancy",
-            Metric::Histogram(&self.window_occupancy),
-        );
-        out(
-            "forward_distance",
-            Metric::Histogram(&self.forward_distance),
-        );
-        self.frontend
-            .visit(&mut |name, metric| out(&format!("frontend.{name}"), metric));
-        self.mem
-            .visit(&mut |name, metric| out(&format!("mem.{name}"), metric));
+impl Fields for SimStats {
+    fn walk<'a>(&'a mut self, f: &mut dyn FnMut(&'static str, Field<'a>)) {
+        let ipc = self.ipc();
+        let SimStats {
+            cycles,
+            committed,
+            committed_loads,
+            committed_stores,
+            misspeculations,
+            squashed,
+            reissued,
+            false_dep_loads,
+            false_dep_cycles,
+            true_dep_loads,
+            forwarded_loads,
+            speculative_loads,
+            sync_delayed_loads,
+            silent_fixups,
+            cpi,
+            false_dep_delay,
+            squash_penalty,
+            window_occupancy,
+            forward_distance,
+            frontend,
+            mem,
+        } = self;
+        f("cycles", Field::Counter(cycles));
+        f("committed", Field::Counter(committed));
+        f("committed_loads", Field::Counter(committed_loads));
+        f("committed_stores", Field::Counter(committed_stores));
+        f("misspeculations", Field::Counter(misspeculations));
+        f("squashed", Field::Counter(squashed));
+        f("reissued", Field::Counter(reissued));
+        f("false_dep_loads", Field::Counter(false_dep_loads));
+        f("false_dep_cycles", Field::Counter(false_dep_cycles));
+        f("true_dep_loads", Field::Counter(true_dep_loads));
+        f("forwarded_loads", Field::Counter(forwarded_loads));
+        f("speculative_loads", Field::Counter(speculative_loads));
+        f("sync_delayed_loads", Field::Counter(sync_delayed_loads));
+        f("silent_fixups", Field::Counter(silent_fixups));
+        f("ipc", Field::Gauge(ipc));
+        f("cpi", Field::Record(cpi));
+        f("false_dep_delay", Field::Histogram(false_dep_delay));
+        f("squash_penalty", Field::Histogram(squash_penalty));
+        f("window_occupancy", Field::Histogram(window_occupancy));
+        f("forward_distance", Field::Histogram(forward_distance));
+        f("frontend", Field::Record(frontend));
+        f("mem", Field::Record(mem));
     }
 }
 
@@ -207,7 +193,7 @@ impl SimResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mds_obs::StallCause;
+    use mds_obs::{MetricSource, StallCause};
 
     #[test]
     fn ipc_division() {
@@ -271,7 +257,7 @@ mod tests {
         b.window_occupancy.record(6);
         b.frontend.branches = 3;
         b.mem.l1d.accesses = 7;
-        a.absorb(&b);
+        mds_obs::merge(&mut a, &b);
         assert_eq!(a.cycles, 15);
         assert_eq!(a.committed, 10);
         assert_eq!(a.cpi.total_cycles(), 2);

@@ -5,7 +5,7 @@ use crate::btb::{Btb, ReturnStack};
 use crate::direction::{Bimodal, Combined, DirectionPredictor, Gselect};
 use crate::more_predictors::{Gshare, LocalHistory, StaticNotTaken};
 use mds_isa::{Instruction, Op, Reg};
-use mds_obs::{Metric, MetricSource};
+use mds_obs::{Field, Fields};
 
 /// What the front end did with a control instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,28 +52,24 @@ impl FrontEndStats {
             1.0 - self.dir_mispredicts as f64 / self.branches as f64
         }
     }
-
-    /// Adds every counter of `other` into `self`.
-    pub fn merge(&mut self, other: &FrontEndStats) {
-        self.branches += other.branches;
-        self.dir_mispredicts += other.dir_mispredicts;
-        self.indirects += other.indirects;
-        self.target_mispredicts += other.target_mispredicts;
-        self.misfetches += other.misfetches;
-    }
 }
 
-impl MetricSource for FrontEndStats {
-    fn visit(&self, out: &mut dyn FnMut(&str, Metric<'_>)) {
-        out("branches", Metric::Counter(self.branches));
-        out("dir_mispredicts", Metric::Counter(self.dir_mispredicts));
-        out("indirects", Metric::Counter(self.indirects));
-        out(
-            "target_mispredicts",
-            Metric::Counter(self.target_mispredicts),
-        );
-        out("misfetches", Metric::Counter(self.misfetches));
-        out("accuracy", Metric::Gauge(self.accuracy()));
+impl Fields for FrontEndStats {
+    fn walk<'a>(&'a mut self, f: &mut dyn FnMut(&'static str, Field<'a>)) {
+        let accuracy = self.accuracy();
+        let FrontEndStats {
+            branches,
+            dir_mispredicts,
+            indirects,
+            target_mispredicts,
+            misfetches,
+        } = self;
+        f("branches", Field::Counter(branches));
+        f("dir_mispredicts", Field::Counter(dir_mispredicts));
+        f("indirects", Field::Counter(indirects));
+        f("target_mispredicts", Field::Counter(target_mispredicts));
+        f("misfetches", Field::Counter(misfetches));
+        f("accuracy", Field::Gauge(accuracy));
     }
 }
 

@@ -11,7 +11,7 @@ use crate::experiments::{cfg, results};
 use crate::runner::Runner;
 use crate::table::{pct, TextTable};
 use mds_core::{Policy, SimStats, StallCause};
-use mds_obs::snapshot;
+use mds_obs::{merge, snapshot};
 use serde::{Serialize, Value};
 
 /// The policies whose stacks the report compares.
@@ -138,7 +138,7 @@ pub fn run(runner: &Runner) -> Report {
         let mut agg = SimStats::default();
         for (b, r) in results(runner, &cfg(policy)) {
             rows.push(row(name, b.name(), &r.stats));
-            agg.absorb(&r.stats);
+            merge(&mut agg, &r.stats);
         }
         totals.push(row(name, "all", &agg));
         histograms.extend(summaries(name, &agg));

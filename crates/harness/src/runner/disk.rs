@@ -10,13 +10,13 @@
 //! The full [`ConfigKey`] string, benchmark name, and trace
 //! fingerprint are stored *inside* every entry and compared on load,
 //! so a hash collision (or a hand-copied file) degrades to a cache
-//! miss, never to a wrong result. Statistics are encoded field by
-//! field — exhaustively destructured, so a new counter fails
-//! compilation here until the codec carries it — and decoded with the
-//! same strictness: corrupted, truncated, or semantically impossible
-//! entries (e.g. a CPI stack that does not partition the cycle count)
-//! are treated as misses and re-simulated rather than crashing or, far
-//! worse, silently skewing every downstream table.
+//! miss, never to a wrong result. Statistics are encoded along each
+//! record's [`Fields`] walk, so a new counter reaches the entry with no
+//! edit here, and decoded in lockstep with the same walk: corrupted,
+//! truncated, reordered or semantically impossible entries (e.g. a CPI
+//! stack that does not partition the cycle count) are treated as misses
+//! and re-simulated rather than crashing or, far worse, silently
+//! skewing every downstream table.
 //!
 //! Entries are written with [`emit::write_atomic`], so concurrent
 //! writers of the same entry (two `reproduce` processes, the daemon
@@ -27,11 +27,9 @@ use crate::emit;
 use crate::faults::{injected_io_error, FaultPlan, FaultSite};
 use crate::runner::key::{ConfigKey, CACHE_SCHEMA_VERSION};
 use mds_core::{SimResult, SimStats};
-use mds_frontend::FrontEndStats;
-use mds_mem::{CacheStats, MemStats};
-use mds_obs::{CpiStack, Histogram, StallCause};
+use mds_obs::{Field, Fields, Histogram};
 use mds_workloads::Benchmark;
-use serde::Value;
+use serde::{Serialize, Value};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -216,132 +214,72 @@ fn encode_result(result: &SimResult) -> Value {
     Value::Object(vec![
         ("policy_name".to_string(), Value::Str(policy_name.clone())),
         ("skipped_cycles".to_string(), Value::UInt(*skipped_cycles)),
-        ("stats".to_string(), encode_stats(stats)),
+        ("stats".to_string(), encode(&mut { *stats })),
     ])
 }
 
 fn decode_result(v: &Value) -> Option<SimResult> {
+    let mut stats = SimStats::default();
+    decode(&mut stats, v.get("stats")?)?;
+    // The partition invariant every live simulation upholds must also
+    // hold for anything claiming to be one. The sum is checked, so
+    // crafted lanes cannot wrap around into agreement.
+    if stats.cpi.checked_total_cycles() != Some(stats.cycles) {
+        return None;
+    }
     Some(SimResult {
         policy_name: v.get("policy_name")?.as_str()?.to_string(),
-        stats: decode_stats(v.get("stats")?)?,
+        stats,
         pipetrace: None,
-        skipped_cycles: u(v, "skipped_cycles")?,
+        skipped_cycles: v.get("skipped_cycles")?.as_u64()?,
     })
 }
 
-fn encode_stats(stats: &SimStats) -> Value {
-    // Exhaustive: a new statistic fails compilation here until the
-    // codec (and CACHE_SCHEMA_VERSION) account for it.
-    let SimStats {
-        cycles,
-        committed,
-        committed_loads,
-        committed_stores,
-        misspeculations,
-        squashed,
-        reissued,
-        false_dep_loads,
-        false_dep_cycles,
-        true_dep_loads,
-        forwarded_loads,
-        speculative_loads,
-        sync_delayed_loads,
-        silent_fixups,
-        cpi,
-        false_dep_delay,
-        squash_penalty,
-        window_occupancy,
-        forward_distance,
-        frontend,
-        mem,
-    } = stats;
-    Value::Object(vec![
-        ("cycles".to_string(), Value::UInt(*cycles)),
-        ("committed".to_string(), Value::UInt(*committed)),
-        ("committed_loads".to_string(), Value::UInt(*committed_loads)),
-        (
-            "committed_stores".to_string(),
-            Value::UInt(*committed_stores),
-        ),
-        ("misspeculations".to_string(), Value::UInt(*misspeculations)),
-        ("squashed".to_string(), Value::UInt(*squashed)),
-        ("reissued".to_string(), Value::UInt(*reissued)),
-        ("false_dep_loads".to_string(), Value::UInt(*false_dep_loads)),
-        (
-            "false_dep_cycles".to_string(),
-            Value::UInt(*false_dep_cycles),
-        ),
-        ("true_dep_loads".to_string(), Value::UInt(*true_dep_loads)),
-        ("forwarded_loads".to_string(), Value::UInt(*forwarded_loads)),
-        (
-            "speculative_loads".to_string(),
-            Value::UInt(*speculative_loads),
-        ),
-        (
-            "sync_delayed_loads".to_string(),
-            Value::UInt(*sync_delayed_loads),
-        ),
-        ("silent_fixups".to_string(), Value::UInt(*silent_fixups)),
-        ("cpi".to_string(), encode_cpi(cpi)),
-        ("false_dep_delay".to_string(), encode_hist(false_dep_delay)),
-        ("squash_penalty".to_string(), encode_hist(squash_penalty)),
-        (
-            "window_occupancy".to_string(),
-            encode_hist(window_occupancy),
-        ),
-        (
-            "forward_distance".to_string(),
-            encode_hist(forward_distance),
-        ),
-        ("frontend".to_string(), encode_frontend(frontend)),
-        ("mem".to_string(), encode_mem(mem)),
-    ])
-}
-
-fn decode_stats(v: &Value) -> Option<SimStats> {
-    let stats = SimStats {
-        cycles: u(v, "cycles")?,
-        committed: u(v, "committed")?,
-        committed_loads: u(v, "committed_loads")?,
-        committed_stores: u(v, "committed_stores")?,
-        misspeculations: u(v, "misspeculations")?,
-        squashed: u(v, "squashed")?,
-        reissued: u(v, "reissued")?,
-        false_dep_loads: u(v, "false_dep_loads")?,
-        false_dep_cycles: u(v, "false_dep_cycles")?,
-        true_dep_loads: u(v, "true_dep_loads")?,
-        forwarded_loads: u(v, "forwarded_loads")?,
-        speculative_loads: u(v, "speculative_loads")?,
-        sync_delayed_loads: u(v, "sync_delayed_loads")?,
-        silent_fixups: u(v, "silent_fixups")?,
-        cpi: decode_cpi(v.get("cpi")?)?,
-        false_dep_delay: decode_hist(v.get("false_dep_delay")?)?,
-        squash_penalty: decode_hist(v.get("squash_penalty")?)?,
-        window_occupancy: decode_hist(v.get("window_occupancy")?)?,
-        forward_distance: decode_hist(v.get("forward_distance")?)?,
-        frontend: decode_frontend(v.get("frontend")?)?,
-        mem: decode_mem(v.get("mem")?)?,
-    };
-    // The partition invariant every live simulation upholds must also
-    // hold for anything claiming to be one.
-    (stats.cpi.total_cycles() == stats.cycles).then_some(stats)
-}
-
-fn encode_cpi(cpi: &CpiStack) -> Value {
-    let mut fields = Vec::with_capacity(9);
-    cpi.visit(&mut |key, cycles| fields.push((key.to_string(), Value::UInt(cycles))));
+/// Encodes a statistics record as one object, its keys in walk order
+/// and each nested record a nested object. Gauges are derived, so they
+/// are not stored.
+fn encode(record: &mut dyn Fields) -> Value {
+    let mut fields = Vec::new();
+    record.walk(&mut |name, field| {
+        let value = match field {
+            Field::Counter(n) => Value::UInt(*n),
+            Field::Histogram(h) => encode_hist(h),
+            Field::Record(inner) => encode(inner),
+            Field::Gauge(_) => return,
+        };
+        fields.push((name.to_string(), value));
+    });
     Value::Object(fields)
 }
 
-fn decode_cpi(v: &Value) -> Option<CpiStack> {
-    let mut cpi = CpiStack::default();
-    cpi.commit_n(u(v, "commit")?);
-    for cause in StallCause::ALL {
-        cpi.record_n(cause, u(v, cause.key())?);
-    }
-    Some(cpi)
+/// Decodes `value` into `record` in lockstep with the walk, so a
+/// missing, extra, renamed or reordered key is a miss.
+fn decode(record: &mut dyn Fields, value: &Value) -> Option<()> {
+    let mut entries = value.as_object()?.iter();
+    let mut ok = true;
+    record.walk(&mut |name, field| {
+        if ok && !matches!(field, Field::Gauge(_)) {
+            ok = match entries.next() {
+                Some((key, value)) if key == name => decode_field(field, value).is_some(),
+                _ => false,
+            };
+        }
+    });
+    (ok && entries.next().is_none()).then_some(())
 }
 
+fn decode_field(field: Field<'_>, value: &Value) -> Option<()> {
+    match field {
+        Field::Counter(n) => *n = value.as_u64()?,
+        Field::Histogram(h) => *h = Histogram::from_value(value)?,
+        Field::Record(inner) => decode(inner, value)?,
+        Field::Gauge(_) => {}
+    }
+    Some(())
+}
+
+/// A histogram's exact moments and non-empty buckets: what
+/// [`Histogram::from_value`] reads back.
 fn encode_hist(h: &Histogram) -> Value {
     let buckets: Vec<Value> = h
         .nonzero_buckets()
@@ -350,141 +288,19 @@ fn encode_hist(h: &Histogram) -> Value {
     Value::Object(vec![
         ("count".to_string(), Value::UInt(h.count())),
         ("sum".to_string(), Value::UInt(h.sum())),
-        ("min".to_string(), opt_u(h.min())),
-        ("max".to_string(), opt_u(h.max())),
+        ("min".to_string(), h.min().to_value()),
+        ("max".to_string(), h.max().to_value()),
         ("buckets".to_string(), Value::Array(buckets)),
     ])
-}
-
-fn decode_hist(v: &Value) -> Option<Histogram> {
-    let mut buckets = Vec::new();
-    for pair in v.get("buckets")?.as_array()? {
-        let pair = pair.as_array()?;
-        if pair.len() != 2 {
-            return None;
-        }
-        buckets.push((pair[0].as_u64()?, pair[1].as_u64()?));
-    }
-    Histogram::from_parts(
-        u(v, "count")?,
-        u(v, "sum")?,
-        v.get("min")?.as_u64(),
-        v.get("max")?.as_u64(),
-        &buckets,
-    )
-}
-
-fn encode_frontend(f: &FrontEndStats) -> Value {
-    let FrontEndStats {
-        branches,
-        dir_mispredicts,
-        indirects,
-        target_mispredicts,
-        misfetches,
-    } = f;
-    Value::Object(vec![
-        ("branches".to_string(), Value::UInt(*branches)),
-        ("dir_mispredicts".to_string(), Value::UInt(*dir_mispredicts)),
-        ("indirects".to_string(), Value::UInt(*indirects)),
-        (
-            "target_mispredicts".to_string(),
-            Value::UInt(*target_mispredicts),
-        ),
-        ("misfetches".to_string(), Value::UInt(*misfetches)),
-    ])
-}
-
-fn decode_frontend(v: &Value) -> Option<FrontEndStats> {
-    Some(FrontEndStats {
-        branches: u(v, "branches")?,
-        dir_mispredicts: u(v, "dir_mispredicts")?,
-        indirects: u(v, "indirects")?,
-        target_mispredicts: u(v, "target_mispredicts")?,
-        misfetches: u(v, "misfetches")?,
-    })
-}
-
-fn encode_mem(m: &MemStats) -> Value {
-    let MemStats {
-        l1i,
-        l1d,
-        l2,
-        main_accesses,
-        prefetches,
-    } = m;
-    Value::Object(vec![
-        ("l1i".to_string(), encode_cache_stats(l1i)),
-        ("l1d".to_string(), encode_cache_stats(l1d)),
-        ("l2".to_string(), encode_cache_stats(l2)),
-        ("main_accesses".to_string(), Value::UInt(*main_accesses)),
-        ("prefetches".to_string(), Value::UInt(*prefetches)),
-    ])
-}
-
-fn decode_mem(v: &Value) -> Option<MemStats> {
-    Some(MemStats {
-        l1i: decode_cache_stats(v.get("l1i")?)?,
-        l1d: decode_cache_stats(v.get("l1d")?)?,
-        l2: decode_cache_stats(v.get("l2")?)?,
-        main_accesses: u(v, "main_accesses")?,
-        prefetches: u(v, "prefetches")?,
-    })
-}
-
-fn encode_cache_stats(c: &CacheStats) -> Value {
-    let CacheStats {
-        accesses,
-        misses,
-        writes,
-        secondary_merges,
-        bank_conflict_cycles,
-        mshr_stall_cycles,
-    } = c;
-    Value::Object(vec![
-        ("accesses".to_string(), Value::UInt(*accesses)),
-        ("misses".to_string(), Value::UInt(*misses)),
-        ("writes".to_string(), Value::UInt(*writes)),
-        (
-            "secondary_merges".to_string(),
-            Value::UInt(*secondary_merges),
-        ),
-        (
-            "bank_conflict_cycles".to_string(),
-            Value::UInt(*bank_conflict_cycles),
-        ),
-        (
-            "mshr_stall_cycles".to_string(),
-            Value::UInt(*mshr_stall_cycles),
-        ),
-    ])
-}
-
-fn decode_cache_stats(v: &Value) -> Option<CacheStats> {
-    Some(CacheStats {
-        accesses: u(v, "accesses")?,
-        misses: u(v, "misses")?,
-        writes: u(v, "writes")?,
-        secondary_merges: u(v, "secondary_merges")?,
-        bank_conflict_cycles: u(v, "bank_conflict_cycles")?,
-        mshr_stall_cycles: u(v, "mshr_stall_cycles")?,
-    })
-}
-
-fn u(v: &Value, key: &str) -> Option<u64> {
-    v.get(key)?.as_u64()
-}
-
-fn opt_u(v: Option<u64>) -> Value {
-    match v {
-        Some(n) => Value::UInt(n),
-        None => Value::Null,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mds_core::{CoreConfig, Policy, Simulator};
+    use mds_frontend::FrontEndStats;
+    use mds_mem::{CacheStats, MemStats};
+    use mds_obs::{CpiStack, StallCause};
     use mds_workloads::SuiteParams;
 
     fn simulate_one() -> (Benchmark, u64, ConfigKey, SimResult) {
@@ -808,5 +624,136 @@ mod tests {
             .expect("durable entry persisted");
         assert_eq!(loaded.stats, result.stats);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn cpi_lanes_that_overflow_are_misses() {
+        let dir = tempdir("cpi-overflow");
+        let (benchmark, fp, key, result) = simulate_one();
+        let disk = DiskCache::open(&dir);
+        disk.store(benchmark, fp, &key, &result, &FaultPlan::none())
+            .unwrap();
+        let path = disk.entry_path(benchmark, fp, &key);
+        let good = std::fs::read_to_string(&path).unwrap();
+        // Raise `commit` by 1 and set a zero lane to u64::MAX: summed
+        // unchecked, the lanes wrap back to the recorded cycle count.
+        let commit = result.stats.cpi.commit_cycles;
+        assert_eq!(result.stats.cpi.stall(StallCause::TrueDependence), 0);
+        let raised = good.replacen(
+            &format!("\"commit\":{commit},"),
+            &format!("\"commit\":{},", commit + 1),
+            1,
+        );
+        let crafted = raised.replacen(
+            "\"true_dependence\":0,",
+            &format!("\"true_dependence\":{},", u64::MAX),
+            1,
+        );
+        assert!(good != raised && raised != crafted, "both edits applied");
+        std::fs::write(&path, &crafted).unwrap();
+        assert!(disk
+            .load(benchmark, fp, &key, &FaultPlan::none())
+            .unwrap()
+            .is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A record in which every counter is distinct and nonzero and every
+    /// histogram holds a sample, so a walk line that lends the wrong
+    /// field changes the encoded bytes.
+    fn distinct_stats() -> SimStats {
+        let hist = |v: u64| {
+            let mut h = Histogram::new();
+            h.record(v);
+            h
+        };
+        let cache = |n: u64| CacheStats {
+            accesses: n,
+            misses: n + 1,
+            writes: n + 2,
+            secondary_merges: n + 3,
+            bank_conflict_cycles: n + 4,
+            mshr_stall_cycles: n + 5,
+        };
+        let mut cpi = CpiStack::default();
+        cpi.commit_n(100);
+        for (n, cause) in (101..).zip(StallCause::ALL) {
+            cpi.record_n(cause, n);
+        }
+        SimStats {
+            cycles: cpi.total_cycles(),
+            committed: 2,
+            committed_loads: 3,
+            committed_stores: 4,
+            misspeculations: 5,
+            squashed: 6,
+            reissued: 7,
+            false_dep_loads: 8,
+            false_dep_cycles: 9,
+            true_dep_loads: 10,
+            forwarded_loads: 11,
+            speculative_loads: 12,
+            sync_delayed_loads: 13,
+            silent_fixups: 14,
+            cpi,
+            false_dep_delay: hist(15),
+            squash_penalty: hist(16),
+            window_occupancy: hist(17),
+            forward_distance: hist(18),
+            frontend: FrontEndStats {
+                branches: 20,
+                dir_mispredicts: 21,
+                indirects: 22,
+                target_mispredicts: 23,
+                misfetches: 24,
+            },
+            mem: MemStats {
+                l1i: cache(30),
+                l1d: cache(40),
+                l2: cache(50),
+                main_accesses: 60,
+                prefetches: 61,
+            },
+        }
+    }
+
+    #[test]
+    fn entry_format_is_pinned() {
+        let result = SimResult {
+            stats: distinct_stats(),
+            policy_name: "NAS/SYNC".to_string(),
+            pipetrace: None,
+            skipped_cycles: 19,
+        };
+        let json = encode_result(&result).to_json();
+        let pinned = concat!(
+            r#"{"policy_name":"NAS/SYNC","skipped_cycles":19,"stats":{"#,
+            r#""cycles":936,"committed":2,"committed_loads":3,"committed_stores":4,"#,
+            r#""misspeculations":5,"squashed":6,"reissued":7,"false_dep_loads":8,"#,
+            r#""false_dep_cycles":9,"true_dep_loads":10,"forwarded_loads":11,"#,
+            r#""speculative_loads":12,"sync_delayed_loads":13,"silent_fixups":14,"#,
+            r#""cpi":{"commit":100,"empty_window":101,"true_dependence":102,"#,
+            r#""false_dependence":103,"sync_delay":104,"scheduler_latency":105,"#,
+            r#""squash_recovery":106,"cache_miss":107,"other":108},"#,
+            r#""false_dep_delay":{"count":1,"sum":15,"min":15,"max":15,"buckets":[[8,1]]},"#,
+            r#""squash_penalty":{"count":1,"sum":16,"min":16,"max":16,"buckets":[[16,1]]},"#,
+            r#""window_occupancy":{"count":1,"sum":17,"min":17,"max":17,"buckets":[[16,1]]},"#,
+            r#""forward_distance":{"count":1,"sum":18,"min":18,"max":18,"buckets":[[16,1]]},"#,
+            r#""frontend":{"branches":20,"dir_mispredicts":21,"indirects":22,"#,
+            r#""target_mispredicts":23,"misfetches":24},"#,
+            r#""mem":{"l1i":{"accesses":30,"misses":31,"writes":32,"secondary_merges":33,"#,
+            r#""bank_conflict_cycles":34,"mshr_stall_cycles":35},"#,
+            r#""l1d":{"accesses":40,"misses":41,"writes":42,"secondary_merges":43,"#,
+            r#""bank_conflict_cycles":44,"mshr_stall_cycles":45},"#,
+            r#""l2":{"accesses":50,"misses":51,"writes":52,"secondary_merges":53,"#,
+            r#""bank_conflict_cycles":54,"mshr_stall_cycles":55},"#,
+            r#""main_accesses":60,"prefetches":61}}}"#,
+        );
+        assert_eq!(
+            json, pinned,
+            "the disk entry format changed: bump CACHE_SCHEMA_VERSION (runner/key.rs), then re-pin"
+        );
+        let back = decode_result(&Value::parse_json(&json).unwrap()).expect("entry decodes");
+        assert_eq!(format!("{back:?}"), format!("{result:?}"));
     }
 }

@@ -12,7 +12,10 @@ use std::fmt::Write;
 /// Bump it whenever either changes meaning — a configuration field is
 /// added, removed, or re-interpreted, or a statistic changes semantics
 /// — so persisted results from older builds are invalidated instead of
-/// being silently served as current.
+/// being silently served as current. The entry encoding follows the
+/// statistics records' [`Fields`](mds_obs::Fields) walks, so also bump
+/// it when a walk line is added, removed or reordered. The disk
+/// module's `entry_format_is_pinned` test fails on any such change.
 ///
 /// v2: result entries carry `skipped_cycles` (event-driven core), and
 /// the per-unit fetch-width split changed timing for configurations

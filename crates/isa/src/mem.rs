@@ -10,7 +10,8 @@ const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 ///
 /// Unwritten memory reads as zero. Pages are 4 KiB and allocated on first
 /// write, so images covering scattered gigabyte-scale address ranges stay
-/// small.
+/// small. A multi-byte access wraps around the top of the address space,
+/// as the interpreter's effective-address computation does.
 ///
 /// # Examples
 ///
@@ -68,7 +69,7 @@ impl MemImage {
         );
         let mut v = 0u64;
         for i in 0..size as u64 {
-            v |= (self.read_u8(addr + i) as u64) << (8 * i);
+            v |= (self.read_u8(addr.wrapping_add(i)) as u64) << (8 * i);
         }
         v
     }
@@ -84,7 +85,7 @@ impl MemImage {
             "unsupported access size {size}"
         );
         for i in 0..size as u64 {
-            self.write_u8(addr + i, (value >> (8 * i)) as u8);
+            self.write_u8(addr.wrapping_add(i), (value >> (8 * i)) as u8);
         }
     }
 
@@ -131,7 +132,7 @@ impl MemImage {
     /// Copies a byte slice into memory starting at `addr`.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
         for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, b);
+            self.write_u8(addr.wrapping_add(i as u64), b);
         }
     }
 }
@@ -165,6 +166,15 @@ mod tests {
         m.write_u64(addr, 0x1122_3344_5566_7788);
         assert_eq!(m.read_u64(addr), 0x1122_3344_5566_7788);
         assert_eq!(m.page_count(), 2);
+    }
+
+    #[test]
+    fn access_wraps_around_the_top_of_the_address_space() {
+        let mut m = MemImage::new();
+        m.write_u64(u64::MAX - 3, 0x1122_3344_5566_7788);
+        assert_eq!(m.read_u32(u64::MAX - 3), 0x5566_7788);
+        assert_eq!(m.read_u32(0), 0x1122_3344);
+        assert_eq!(m.read_u64(u64::MAX - 3), 0x1122_3344_5566_7788);
     }
 
     #[test]

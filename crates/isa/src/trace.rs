@@ -28,18 +28,6 @@ pub struct TraceRecord {
     pub taken: bool,
 }
 
-impl TraceRecord {
-    /// Whether this record's byte range `[effaddr, effaddr+size)` overlaps
-    /// another memory record's byte range.
-    #[inline]
-    pub fn overlaps(&self, other: &TraceRecord) -> bool {
-        self.size != 0
-            && other.size != 0
-            && self.effaddr < other.effaddr + other.size as u64
-            && other.effaddr < self.effaddr + self.size as u64
-    }
-}
-
 /// Aggregate dynamic-instruction counts of a trace.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceCounts {
@@ -222,22 +210,6 @@ mod tests {
             size,
             taken: false,
         }
-    }
-
-    #[test]
-    fn overlap_detection() {
-        assert!(rec(100, 4).overlaps(&rec(100, 4)));
-        assert!(rec(100, 4).overlaps(&rec(103, 1)));
-        assert!(!rec(100, 4).overlaps(&rec(104, 4)));
-        assert!(rec(100, 8).overlaps(&rec(104, 4)));
-        assert!(!rec(100, 4).overlaps(&rec(96, 4)));
-        assert!(rec(100, 1).overlaps(&rec(98, 4)));
-    }
-
-    #[test]
-    fn non_memory_records_never_overlap() {
-        assert!(!rec(100, 0).overlaps(&rec(100, 4)));
-        assert!(!rec(100, 4).overlaps(&rec(100, 0)));
     }
 
     #[test]

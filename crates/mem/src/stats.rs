@@ -1,6 +1,6 @@
 //! Memory-system statistics.
 
-use mds_obs::{Metric, MetricSource};
+use mds_obs::{Field, Fields};
 
 /// Counters accumulated by one cache level.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,30 +38,26 @@ impl CacheStats {
             1.0 - self.miss_rate()
         }
     }
-
-    /// Adds every counter of `other` into `self`.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.accesses += other.accesses;
-        self.misses += other.misses;
-        self.writes += other.writes;
-        self.secondary_merges += other.secondary_merges;
-        self.bank_conflict_cycles += other.bank_conflict_cycles;
-        self.mshr_stall_cycles += other.mshr_stall_cycles;
-    }
 }
 
-impl MetricSource for CacheStats {
-    fn visit(&self, out: &mut dyn FnMut(&str, Metric<'_>)) {
-        out("accesses", Metric::Counter(self.accesses));
-        out("misses", Metric::Counter(self.misses));
-        out("writes", Metric::Counter(self.writes));
-        out("secondary_merges", Metric::Counter(self.secondary_merges));
-        out(
-            "bank_conflict_cycles",
-            Metric::Counter(self.bank_conflict_cycles),
-        );
-        out("mshr_stall_cycles", Metric::Counter(self.mshr_stall_cycles));
-        out("miss_rate", Metric::Gauge(self.miss_rate()));
+impl Fields for CacheStats {
+    fn walk<'a>(&'a mut self, f: &mut dyn FnMut(&'static str, Field<'a>)) {
+        let miss_rate = self.miss_rate();
+        let CacheStats {
+            accesses,
+            misses,
+            writes,
+            secondary_merges,
+            bank_conflict_cycles,
+            mshr_stall_cycles,
+        } = self;
+        f("accesses", Field::Counter(accesses));
+        f("misses", Field::Counter(misses));
+        f("writes", Field::Counter(writes));
+        f("secondary_merges", Field::Counter(secondary_merges));
+        f("bank_conflict_cycles", Field::Counter(bank_conflict_cycles));
+        f("mshr_stall_cycles", Field::Counter(mshr_stall_cycles));
+        f("miss_rate", Field::Gauge(miss_rate));
     }
 }
 
@@ -80,30 +76,27 @@ pub struct MemStats {
     pub prefetches: u64,
 }
 
-impl MemStats {
-    /// Adds every counter of `other` into `self`.
-    pub fn merge(&mut self, other: &MemStats) {
-        self.l1i.merge(&other.l1i);
-        self.l1d.merge(&other.l1d);
-        self.l2.merge(&other.l2);
-        self.main_accesses += other.main_accesses;
-        self.prefetches += other.prefetches;
-    }
-}
-
-impl MetricSource for MemStats {
-    fn visit(&self, out: &mut dyn FnMut(&str, Metric<'_>)) {
-        for (prefix, level) in [("l1i", &self.l1i), ("l1d", &self.l1d), ("l2", &self.l2)] {
-            level.visit(&mut |name, metric| out(&format!("{prefix}.{name}"), metric));
-        }
-        out("main_accesses", Metric::Counter(self.main_accesses));
-        out("prefetches", Metric::Counter(self.prefetches));
+impl Fields for MemStats {
+    fn walk<'a>(&'a mut self, f: &mut dyn FnMut(&'static str, Field<'a>)) {
+        let MemStats {
+            l1i,
+            l1d,
+            l2,
+            main_accesses,
+            prefetches,
+        } = self;
+        f("l1i", Field::Record(l1i));
+        f("l1d", Field::Record(l1d));
+        f("l2", Field::Record(l2));
+        f("main_accesses", Field::Counter(main_accesses));
+        f("prefetches", Field::Counter(prefetches));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mds_obs::{Metric, MetricSource};
 
     #[test]
     fn rates_of_empty_stats_are_zero() {
@@ -131,7 +124,7 @@ mod tests {
         b.l1d.accesses = 5;
         b.l1d.misses = 2;
         b.prefetches = 3;
-        a.merge(&b);
+        mds_obs::merge(&mut a, &b);
         assert_eq!(a.l1d.accesses, 15);
         assert_eq!(a.l1d.misses, 2);
         assert_eq!(a.main_accesses, 1);

@@ -1,6 +1,8 @@
 //! CPI-stack stall attribution: every non-committing cycle is charged
 //! to exactly one cause, so the stack partitions total cycles.
 
+use crate::fields::{Field, Fields};
+use crate::registry::snapshot;
 use serde::{Serialize, Value};
 
 /// Why the machine failed to commit anything on a given cycle, judged
@@ -144,6 +146,15 @@ impl CpiStack {
         self.commit_cycles + self.total_stalls()
     }
 
+    /// [`CpiStack::total_cycles`], or `None` if the sum overflows. A
+    /// live simulation cannot get near it, but a decoded stack's lanes
+    /// are arbitrary input.
+    pub fn checked_total_cycles(&self) -> Option<u64> {
+        self.stalls
+            .iter()
+            .try_fold(self.commit_cycles, |total, &n| total.checked_add(n))
+    }
+
     /// Fraction of attributed cycles charged to `cause` (0 when empty).
     pub fn fraction(&self, cause: StallCause) -> f64 {
         let total = self.total_cycles();
@@ -163,35 +174,32 @@ impl CpiStack {
             self.commit_cycles as f64 / total as f64
         }
     }
+}
 
-    /// Adds every counter of `other` into `self`.
-    pub fn merge(&mut self, other: &CpiStack) {
-        self.commit_cycles += other.commit_cycles;
-        for (s, o) in self.stalls.iter_mut().zip(other.stalls.iter()) {
-            *s += o;
-        }
-    }
-
-    /// Visits every counter as `(key, cycles)`, commit first.
-    pub fn visit(&self, out: &mut dyn FnMut(&str, u64)) {
-        out("commit", self.commit_cycles);
-        for cause in StallCause::ALL {
-            out(cause.key(), self.stall(cause));
+impl Fields for CpiStack {
+    fn walk<'a>(&'a mut self, f: &mut dyn FnMut(&'static str, Field<'a>)) {
+        let CpiStack {
+            commit_cycles,
+            stalls,
+        } = self;
+        f("commit", Field::Counter(commit_cycles));
+        // `ALL` lists the causes in `index` order.
+        for (cause, cycles) in StallCause::ALL.into_iter().zip(stalls) {
+            f(cause.key(), Field::Counter(cycles));
         }
     }
 }
 
 impl Serialize for CpiStack {
     fn to_value(&self) -> Value {
-        let mut fields = Vec::with_capacity(9);
-        self.visit(&mut |key, cycles| fields.push((key.to_string(), Value::UInt(cycles))));
-        Value::Object(fields)
+        snapshot(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MetricSource;
 
     #[test]
     fn partition_by_construction() {
@@ -244,7 +252,7 @@ mod tests {
         a.record(StallCause::CacheMiss);
         let mut b = CpiStack::default();
         b.record(StallCause::CacheMiss);
-        a.merge(&b);
+        crate::merge(&mut a, &b);
         assert_eq!(a.stall(StallCause::CacheMiss), 2);
         let json = a.to_value().to_json();
         assert!(json.contains("\"commit\":1"), "{json}");

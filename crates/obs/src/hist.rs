@@ -143,15 +143,15 @@ impl Histogram {
 
     /// Reassembles a histogram from its exact moments and non-empty
     /// bucket counts (keyed by bucket lower bound), i.e. the data
-    /// [`Histogram::nonzero_buckets`] and the moment accessors expose —
-    /// the shape a persisted histogram is stored in.
+    /// [`Histogram::nonzero_buckets`] and the moment accessors expose.
     ///
     /// Returns `None` when the parts are inconsistent: a `lo` that is
     /// not a bucket lower bound, a duplicate bucket, bucket counts that
-    /// do not sum to `count`, min/max outside their buckets, or moments
-    /// on an empty histogram — so corrupted persisted data is rejected
-    /// rather than resurrected into an impossible histogram.
-    pub fn from_parts(
+    /// do not sum to `count` (or overflow summing), min/max outside
+    /// their buckets, or moments on an empty histogram — so corrupted
+    /// persisted data is rejected rather than resurrected into an
+    /// impossible histogram.
+    fn from_parts(
         count: u64,
         sum: u64,
         min: Option<u64>,
@@ -166,7 +166,8 @@ impl Histogram {
             }
             h.buckets[i] = n;
         }
-        if h.buckets.iter().sum::<u64>() != count {
+        let total = h.buckets.iter().try_fold(0u64, |t, &n| t.checked_add(n));
+        if total != Some(count) {
             return None;
         }
         if count == 0 {
@@ -188,11 +189,12 @@ impl Histogram {
 
     /// Decodes a histogram from the object [`Serialize::to_value`]
     /// produces (`count`/`sum`/`min`/`max` moments plus `buckets` as
-    /// `[[lo, n], ...]`), validating through [`Histogram::from_parts`].
+    /// `[[lo, n], ...]`; other keys are ignored), validating every
+    /// consistency rule of the parts.
     ///
     /// Returns `None` for any structural or consistency violation, so
-    /// a remote metrics snapshot (the `mds-serve` `metrics` verb) is
-    /// verified rather than trusted by clients like `mds-load`.
+    /// a remote metrics snapshot (the `mds-serve` `metrics` verb) or a
+    /// disk-cache entry is verified rather than trusted.
     pub fn from_value(value: &Value) -> Option<Histogram> {
         let count = value.get("count")?.as_u64()?;
         let sum = value.get("sum")?.as_u64()?;
@@ -385,6 +387,17 @@ mod tests {
             ("buckets".into(), Value::Array(vec![Value::UInt(4)])),
         ]);
         assert!(Histogram::from_value(&bad).is_none());
+    }
+
+    #[test]
+    fn from_value_rejects_bucket_counts_that_overflow() {
+        // The counts wrap to 0 == count if summed unchecked.
+        let crafted = Value::parse_json(
+            "{\"count\":0,\"sum\":0,\"min\":null,\"max\":null,\
+             \"buckets\":[[1,18446744073709551615],[2,1]]}",
+        )
+        .unwrap();
+        assert_eq!(Histogram::from_value(&crafted), None);
     }
 
     #[test]

@@ -12,9 +12,17 @@
 //! * [`CpiStack`] + [`StallCause`] — per-cycle stall attribution: every
 //!   simulated cycle is either a commit cycle or charged to exactly one
 //!   [`StallCause`], so the stack always partitions total cycles.
+//! * [`Fields`] / [`Field`] — one walk per statistics record, lending
+//!   each field once, in declaration order, as a counter, histogram,
+//!   nested record or derived gauge. Each walk destructures its record
+//!   exhaustively, so a new field fails to compile until it is listed.
+//! * [`merge`] — adds one record into another, field by field, along
+//!   the walk.
 //! * [`Metric`] / [`MetricSource`] / [`snapshot`] — a generic visitor
 //!   over named metrics, so reports can dump every statistic a
-//!   component exposes without hand-listing fields.
+//!   component exposes without hand-listing fields. Every `Copy` record
+//!   with a walk is a [`MetricSource`], its nested fields named
+//!   `record.field`.
 //! * [`Registry`] — a dynamic bag of named counters and histograms for
 //!   layers (like the experiment runner) whose metrics are not known
 //!   statically.
@@ -48,6 +56,7 @@
 #![forbid(unsafe_code)]
 
 mod cpi;
+mod fields;
 mod hist;
 mod jsonl;
 mod prom;
@@ -55,6 +64,7 @@ mod registry;
 mod span;
 
 pub use cpi::{CpiStack, StallCause};
+pub use fields::{merge, Field, Fields};
 pub use hist::{Histogram, HIST_BUCKETS};
 pub use jsonl::JsonlWriter;
 pub use prom::to_prometheus;
