@@ -6,11 +6,10 @@
 //! — oracle memory dependences, register dependence edges, per-op
 //! classification — so rebuilding it per [`Machine`](crate::sim) is
 //! pure waste. [`TraceArtifacts::build`] computes the bundle once;
-//! callers thread a shared reference (typically inside an
-//! [`Arc`](std::sync::Arc)) through
+//! callers pass a shared reference to
 //! [`Simulator::run_with_artifacts`](crate::Simulator::run_with_artifacts),
-//! and the harness runner memoizes one bundle per suite benchmark
-//! across worker threads.
+//! and the harness keeps one bundle next to each suite trace, read by
+//! every worker thread.
 //!
 //! The bundle is immutable after construction: simulation never writes
 //! to it, which is what makes lock-free sharing across work-stealing
@@ -19,7 +18,6 @@
 use crate::oracle::OracleDeps;
 use crate::window::RegDeps;
 use mds_isa::{FuClass, Trace};
-use std::sync::Arc;
 
 /// Cached classification of one dynamic instruction — the fields the
 /// per-cycle stages would otherwise re-derive through two levels of
@@ -56,7 +54,7 @@ pub(crate) struct OpMeta {
 /// a.halt();
 /// let trace = Interpreter::new(a.assemble()?).run(100)?;
 ///
-/// let artifacts = TraceArtifacts::shared(&trace);
+/// let artifacts = TraceArtifacts::build(&trace);
 /// for policy in [Policy::NasNo, Policy::NasNaive] {
 ///     let sim = Simulator::new(CoreConfig::paper_128().with_policy(policy));
 ///     let result = sim.run_with_artifacts(&trace, &artifacts);
@@ -96,12 +94,6 @@ impl TraceArtifacts {
             regdeps: RegDeps::build(trace),
             ops,
         }
-    }
-
-    /// [`build`](TraceArtifacts::build), wrapped for sharing across
-    /// threads and configurations.
-    pub fn shared(trace: &Trace) -> Arc<TraceArtifacts> {
-        Arc::new(TraceArtifacts::build(trace))
     }
 
     /// Fingerprint of the trace this bundle was built from (see

@@ -90,8 +90,8 @@ impl Simulator {
     /// possibly shared [`TraceArtifacts`].
     ///
     /// The artifacts are read-only for the whole simulation, so one
-    /// bundle (behind an [`Arc`](std::sync::Arc)) can serve any number
-    /// of concurrent simulations of the same trace.
+    /// bundle can serve any number of concurrent simulations of the
+    /// same trace.
     ///
     /// # Panics
     ///

@@ -6,11 +6,11 @@
 //!           [--trace-out FILE.jsonl] [--trace-every N] [--list]
 //! ```
 //!
-//! Experiments: `table1 table2 fig1 table3 fig2 fig3 fig4 fig5 fig6
-//! table4 fig7 summary cpistack ablations stability` (`--list` prints
-//! them one per line).
+//! `--list` prints the experiments, one per line, in run order: the
+//! names of [`experiments::ALL`], which `--only` accepts.
 //!
-//! Simulations run on a work-stealing thread pool (`--jobs`, default
+//! Every experiment runs on one [`Runner`]. Simulations run on a
+//! work-stealing thread pool (`--jobs`, default
 //! [`std::thread::available_parallelism`]) and are memoized across
 //! experiments, so configurations shared between figures are simulated
 //! once. With `--cache-dir DIR`, results also persist to a
@@ -30,12 +30,10 @@
 //! with a non-zero `--trace-every N` stride — sampled per-instruction
 //! `pipe` pipeline events. Tracing never changes the rendered tables.
 
-use mds_core::CoreConfig;
-use mds_harness::cli::{
-    parse_reproduce_args, ReproduceArgs, ReproduceCommand, EXPERIMENTS, REPRODUCE_USAGE,
-};
-use mds_harness::{emit, experiments, Runner, Suite, TraceSink};
-use serde::{Serialize, Value};
+use mds_harness::cli::{parse_reproduce_args, ReproduceArgs, ReproduceCommand, REPRODUCE_USAGE};
+use mds_harness::experiments::{self, Artifact, Experiment};
+use mds_harness::{emit, Runner, Suite, TraceSink};
+use serde::Value;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -48,7 +46,7 @@ fn main() -> ExitCode {
             return ExitCode::SUCCESS;
         }
         Ok(ReproduceCommand::List) => {
-            for name in EXPERIMENTS {
+            for name in experiments::names() {
                 println!("{name}");
             }
             return ExitCode::SUCCESS;
@@ -137,59 +135,9 @@ fn reproduce(args: ReproduceArgs) -> Result<(), String> {
         runner,
         timings: Vec::new(),
     };
-    r.timed("table1", |run| {
-        let rep = experiments::table1::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("table2", |_| {
-        (experiments::table2::render(&CoreConfig::paper_128()), None)
-    })?;
-    r.timed("fig1", |run| {
-        let rep = experiments::fig1::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("table3", |run| {
-        let rep = experiments::table3::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("fig2", |run| {
-        let rep = experiments::fig2::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("fig3", |run| {
-        let rep = experiments::fig3::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("fig4", |run| {
-        let rep = experiments::fig4::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("fig5", |run| {
-        let rep = experiments::fig5::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("fig6", |run| {
-        let rep = experiments::fig6::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("table4", |run| {
-        let rep = experiments::table4::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("fig7", |run| {
-        let rep = experiments::fig7::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("summary", |run| {
-        let rep = experiments::summary::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.timed("cpistack", |run| {
-        let rep = experiments::cpistack::run(run);
-        (rep.render(), Some(rep.to_value()))
-    })?;
-    r.ablations()?;
-    r.stability()?;
+    for (name, experiment) in experiments::ALL {
+        r.timed(name, experiment)?;
+    }
 
     let stats = r.runner.stats();
     let total_seconds = total_start.elapsed().as_secs_f64();
@@ -229,24 +177,22 @@ impl Reproduce {
             .is_none_or(|v| v.iter().any(|x| x == name))
     }
 
-    /// Runs one experiment if requested, timing it and emitting its
-    /// artifacts.
-    fn timed(
-        &mut self,
-        name: &str,
-        f: impl FnOnce(&Runner) -> (String, Option<Value>),
-    ) -> Result<(), String> {
+    /// Runs one experiment if requested, timing it, then emits its
+    /// artifacts; an experiment's failure fails the run.
+    fn timed(&mut self, name: &str, experiment: Experiment) -> Result<(), String> {
         if !self.wants(name) {
             return Ok(());
         }
         eprintln!("running {name}...");
         self.experiment_event("experiment_start", name, None)?;
         let start = Instant::now();
-        let (text, value) = f(&self.runner);
+        let artifacts = experiment(&self.runner)?;
         let seconds = start.elapsed().as_secs_f64();
         self.timings.push((name.to_string(), seconds));
         self.experiment_event("experiment_finish", name, Some(seconds))?;
-        self.emit(name, &text, value.as_ref())
+        artifacts
+            .iter()
+            .try_for_each(|artifact| self.emit(artifact))
     }
 
     /// Emits an experiment lifecycle record to the trace, if tracing.
@@ -267,7 +213,8 @@ impl Reproduce {
 
     /// Prints one artifact and, with `--out`, writes its `.txt`,
     /// `.json`, and `.csv` forms.
-    fn emit(&self, name: &str, text: &str, value: Option<&Value>) -> Result<(), String> {
+    fn emit(&self, artifact: &Artifact) -> Result<(), String> {
+        let Artifact { name, text, value } = artifact;
         println!("{text}");
         let Some(dir) = &self.args.out else {
             return Ok(());
@@ -284,75 +231,6 @@ impl Reproduce {
             }
         }
         Ok(())
-    }
-
-    /// The six beyond-the-paper sweeps, timed as one experiment.
-    fn ablations(&mut self) -> Result<(), String> {
-        if !self.wants("ablations") {
-            return Ok(());
-        }
-        eprintln!("running ablations...");
-        self.experiment_event("experiment_start", "ablations", None)?;
-        let start = Instant::now();
-        let runner = &self.runner;
-        let artifacts = [
-            {
-                let rep = experiments::ablation::predictor_size(runner, &[256, 1024, 4096, 16384]);
-                ("ablation_predictor_size", rep.render(), rep.to_value())
-            },
-            {
-                let rep = experiments::ablation::flush_interval(
-                    runner,
-                    &[Some(100_000), Some(1_000_000), None],
-                );
-                ("ablation_flush_interval", rep.render(), rep.to_value())
-            },
-            {
-                let rep = experiments::ablation::store_sets(runner);
-                ("ablation_store_sets", rep.render(), rep.to_value())
-            },
-            {
-                let rep = experiments::ablation::recovery(runner);
-                ("ablation_recovery", rep.render(), rep.to_value())
-            },
-            {
-                let rep = experiments::ablation::branch_predictors(runner);
-                ("ablation_branch_predictors", rep.render(), rep.to_value())
-            },
-            {
-                let rep = experiments::ablation::window_sweep(runner, &[32, 64, 128, 256]);
-                ("ablation_window_sweep", rep.render(), rep.to_value())
-            },
-        ];
-        let seconds = start.elapsed().as_secs_f64();
-        self.timings.push(("ablations".to_string(), seconds));
-        self.experiment_event("experiment_finish", "ablations", Some(seconds))?;
-        for (name, text, value) in &artifacts {
-            self.emit(name, text, Some(value))?;
-        }
-        Ok(())
-    }
-
-    /// The per-seed stability rerun; a failure here fails the run.
-    fn stability(&mut self) -> Result<(), String> {
-        if !self.wants("stability") {
-            return Ok(());
-        }
-        eprintln!("running stability...");
-        self.experiment_event("experiment_start", "stability", None)?;
-        let start = Instant::now();
-        let rep = experiments::stability::run(
-            &self.args.benchmarks,
-            &self.args.params,
-            &[self.args.params.seed, 0x1234, 0xDEAD_BEEF],
-            self.args.jobs,
-            self.args.cache_dir.as_deref(),
-        )
-        .map_err(|e| format!("stability experiment failed: {e}"))?;
-        let seconds = start.elapsed().as_secs_f64();
-        self.timings.push(("stability".to_string(), seconds));
-        self.experiment_event("experiment_finish", "stability", Some(seconds))?;
-        self.emit("stability", &rep.render(), Some(&rep.to_value()))
     }
 
     /// With `--out`, writes `BENCH_reproduce.json` there with

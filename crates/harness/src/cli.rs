@@ -6,41 +6,18 @@
 //! validation, scale and job-count parsing, the range of config knobs
 //! outside input may set — lives here where tests can reach it.
 
+use crate::experiments;
 use crate::faults::FaultPlan;
 use mds_core::{CoreConfig, Policy, WindowModel};
 use mds_workloads::{Benchmark, SuiteParams};
 use std::path::PathBuf;
-
-/// The experiment names `reproduce` knows, in run order.
-///
-/// `ablations` covers the beyond-the-paper sweeps (predictor size,
-/// flush interval, store sets, recovery, branch predictors, window
-/// sweep); `stability` is the per-seed rerun of the headline result.
-pub const EXPERIMENTS: [&str; 15] = [
-    "table1",
-    "table2",
-    "fig1",
-    "table3",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "table4",
-    "fig7",
-    "summary",
-    "cpistack",
-    "ablations",
-    "stability",
-];
 
 /// Usage string for `reproduce`.
 pub const REPRODUCE_USAGE: &str = "usage: reproduce [--scale tiny|test|bench] \
      [--benchmarks name,...] [--only table1,fig2,...] [--out DIR] [--jobs N]\n\
      [--cache-dir DIR] [--durable-cache] [--trace-out FILE.jsonl] [--trace-every N]\n\
      [--fault-plan SPEC] [--list]\n\
-     experiments: table1 table2 fig1 table3 fig2 fig3 fig4 fig5 fig6 table4 \
-     fig7 summary cpistack ablations stability";
+     --list names the experiments, in run order.";
 
 /// Usage string for `mds-serve`.
 pub const SERVE_USAGE: &str = "usage: mds-serve --socket PATH [--scale tiny|test|bench] \
@@ -470,18 +447,23 @@ pub fn check_config(config: &CoreConfig) -> Result<(), String> {
     Ok(())
 }
 
-/// Checks every name against [`EXPERIMENTS`].
+/// Checks every name against [`experiments::names`].
 ///
 /// # Errors
 ///
 /// Names the first unknown experiment and lists the valid ones, so a
-/// typo like `fig11` fails loudly instead of running nothing.
+/// typo like `fig11` fails loudly instead of running nothing; an empty
+/// name (`--only fig1,`) is called one.
 pub fn validate_experiments(names: &[String]) -> Result<(), String> {
+    let known = experiments::names();
     for name in names {
-        if !EXPERIMENTS.contains(&name.as_str()) {
+        if name.is_empty() {
+            return Err("--only has an empty experiment name".to_string());
+        }
+        if !known.contains(&name.as_str()) {
             return Err(format!(
                 "unknown experiment {name} (expected one of: {})",
-                EXPERIMENTS.join(", ")
+                known.join(", ")
             ));
         }
     }
@@ -673,6 +655,21 @@ mod tests {
         let err = parse_reproduce_args(&strs(&["--only", "fig11"])).unwrap_err();
         assert!(err.contains("unknown experiment fig11"), "{err}");
         assert!(err.contains("fig1"), "should list valid names: {err}");
+        for list in ["fig1,", ""] {
+            let err = parse_reproduce_args(&strs(&["--only", list])).unwrap_err();
+            assert_eq!(err, "--only has an empty experiment name", "{list:?}");
+        }
+    }
+
+    #[test]
+    fn only_accepts_every_experiment_in_the_table() {
+        let names = experiments::names();
+        let Ok(ReproduceCommand::Run(args)) =
+            parse_reproduce_args(&strs(&["--only", &names.join(",")]))
+        else {
+            panic!("every table name must parse");
+        };
+        assert_eq!(args.only.unwrap(), names);
     }
 
     #[test]

@@ -2,12 +2,33 @@
 //! out: predictor sizing, MDPT flush interval, store sets vs MDPT, and a
 //! window-size sweep extending Figure 1's trend.
 
-use crate::experiments::ipcs_batch;
+use crate::experiments::{ipcs_batch, Artifact};
 use crate::runner::{geomean, Runner};
 use crate::table::{ipc, pct4, TextTable};
 use mds_core::{BranchPredictorConfig, CoreConfig, Policy, Recovery};
 use mds_predict::MdptParams;
 use serde::Serialize;
+
+/// The six sweeps `reproduce` runs, at its sweep points, in order.
+pub fn run(runner: &Runner) -> Vec<Artifact> {
+    vec![
+        artifact!(
+            "ablation_predictor_size",
+            predictor_size(runner, &[256, 1024, 4096, 16384])
+        ),
+        artifact!(
+            "ablation_flush_interval",
+            flush_interval(runner, &[Some(100_000), Some(1_000_000), None])
+        ),
+        artifact!("ablation_store_sets", store_sets(runner)),
+        artifact!("ablation_recovery", recovery(runner)),
+        artifact!("ablation_branch_predictors", branch_predictors(runner)),
+        artifact!(
+            "ablation_window_sweep",
+            window_sweep(runner, &[32, 64, 128, 256])
+        ),
+    ]
+}
 
 /// Result of sweeping the MDPT size under `NAS/SYNC`.
 #[derive(Debug, Clone, Serialize)]

@@ -7,7 +7,7 @@
 //! actually go: false dependences under `NAS/NO`, squash recovery under
 //! `NAS/NAV`, scheduler latency under the `AS` modes, and so on.
 
-use crate::experiments::{cfg, results};
+use crate::experiments::cfg;
 use crate::runner::Runner;
 use crate::table::{pct, TextTable};
 use mds_core::{Policy, SimStats, StallCause};
@@ -136,7 +136,7 @@ pub fn run(runner: &Runner) -> Report {
     for policy in POLICIES {
         let name = policy.paper_name();
         let mut agg = SimStats::default();
-        for (b, r) in results(runner, &cfg(policy)) {
+        for (b, r) in runner.run(&cfg(policy)) {
             rows.push(row(name, b.name(), &r.stats));
             merge(&mut agg, &r.stats);
         }

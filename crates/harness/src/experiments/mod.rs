@@ -4,7 +4,7 @@
 //! traces are generated once and (benchmark, config) results are
 //! memoized across *all* experiments in a run), returns a serializable
 //! report struct with the raw numbers, and renders the same rows/series
-//! the paper presents.
+//! the paper presents. [`ALL`] lists them in `reproduce`'s run order.
 //!
 //! [`Runner`]: crate::Runner
 //!
@@ -26,6 +26,28 @@
 //! | [`ablation`] | beyond the paper: predictor sizing, flush interval, store sets, window sweep |
 //! | [`stability`] | beyond the paper: seed sensitivity of the headline result |
 
+/// The [`Artifact`] of one report, named `$name`.
+macro_rules! artifact {
+    ($name:expr, $report:expr) => {{
+        let report = $report;
+        Artifact {
+            name: $name,
+            text: report.render(),
+            value: Some(report.to_value()),
+        }
+    }};
+}
+
+/// A table entry for an experiment whose one report comes from
+/// `$module::run` and is named after the module.
+macro_rules! one_report {
+    ($module:ident) => {
+        (stringify!($module), |runner| {
+            Ok(vec![artifact!(stringify!($module), $module::run(runner))])
+        })
+    };
+}
+
 pub mod ablation;
 pub mod cpistack;
 pub mod fig1;
@@ -42,9 +64,63 @@ pub mod table2;
 pub mod table3;
 pub mod table4;
 
-use crate::runner::Runner;
-use mds_core::{CoreConfig, Policy, SimResult};
+use crate::runner::{Runner, Suite};
+use mds_core::{CoreConfig, Policy};
 use mds_workloads::Benchmark;
+use serde::{Serialize, Value};
+
+/// One emitted report: its rendered text and, when it has one, its
+/// serialized form (written as `.json` and `.csv`).
+#[derive(Debug)]
+pub struct Artifact {
+    /// The file stem the artifact is written under.
+    pub name: &'static str,
+    /// The rendered report, as printed.
+    pub text: String,
+    /// The report's raw numbers.
+    pub value: Option<Value>,
+}
+
+/// An experiment: runs on the shared runner and returns its artifacts,
+/// or a message saying why it failed.
+pub type Experiment = fn(&Runner) -> Result<Vec<Artifact>, String>;
+
+/// Every experiment, by name, in `reproduce`'s run order: the list that
+/// `reproduce`'s run loop, `--list` and `--only` all read. `ablations`
+/// times the six beyond-the-paper sweeps as one experiment; `stability`
+/// reruns the headline result at two more generator seeds.
+pub const ALL: [(&str, Experiment); 15] = [
+    one_report!(table1),
+    ("table2", |_| {
+        Ok(vec![Artifact {
+            name: "table2",
+            text: table2::render(&CoreConfig::paper_128()),
+            value: None,
+        }])
+    }),
+    one_report!(fig1),
+    one_report!(table3),
+    one_report!(fig2),
+    one_report!(fig3),
+    one_report!(fig4),
+    one_report!(fig5),
+    one_report!(fig6),
+    one_report!(table4),
+    one_report!(fig7),
+    one_report!(summary),
+    one_report!(cpistack),
+    ("ablations", |runner| Ok(ablation::run(runner))),
+    ("stability", |runner| {
+        stability::experiment(runner)
+            .map(|report| vec![artifact!("stability", report)])
+            .map_err(|e| format!("stability experiment failed: {e}"))
+    }),
+];
+
+/// The experiment names, in run order.
+pub fn names() -> Vec<&'static str> {
+    ALL.iter().map(|&(name, _)| name).collect()
+}
 
 /// Runs every suite benchmark under `config`, returning the IPCs.
 pub(crate) fn ipcs(runner: &Runner, config: &CoreConfig) -> Vec<(Benchmark, f64)> {
@@ -58,16 +134,20 @@ pub(crate) fn ipcs(runner: &Runner, config: &CoreConfig) -> Vec<(Benchmark, f64)
 /// Runs every suite benchmark under each config in one parallel wave,
 /// returning one IPC set per config.
 pub(crate) fn ipcs_batch(runner: &Runner, configs: &[CoreConfig]) -> Vec<Vec<(Benchmark, f64)>> {
+    ipcs_batch_on(runner, runner.suite(), configs)
+}
+
+/// [`ipcs_batch`] over `suite`'s traces (see [`Runner::run_batch_on`]).
+pub(crate) fn ipcs_batch_on(
+    runner: &Runner,
+    suite: &Suite,
+    configs: &[CoreConfig],
+) -> Vec<Vec<(Benchmark, f64)>> {
     runner
-        .run_batch(configs)
+        .run_batch_on(suite, configs)
         .into_iter()
         .map(|set| set.into_iter().map(|(b, r)| (b, r.ipc())).collect())
         .collect()
-}
-
-/// Runs every suite benchmark under `config`, returning full results.
-pub(crate) fn results(runner: &Runner, config: &CoreConfig) -> Vec<(Benchmark, SimResult)> {
-    runner.run(config)
 }
 
 /// Per-benchmark speedup of `new` over `base` (paired by suite order).

@@ -2,7 +2,7 @@
 //! average resolution latency, measured under `NAS/NO` on the 128-entry
 //! window.
 
-use crate::experiments::{cfg, results};
+use crate::experiments::cfg;
 use crate::runner::Runner;
 use crate::table::{pct, TextTable};
 use mds_core::Policy;
@@ -57,7 +57,8 @@ pub fn paper_values(b: Benchmark) -> (f64, f64) {
 
 /// Measures false dependences under `NAS/NO`.
 pub fn run(runner: &Runner) -> Report {
-    let rows = results(runner, &cfg(Policy::NasNo))
+    let rows = runner
+        .run(&cfg(Policy::NasNo))
         .into_iter()
         .map(|(b, r)| {
             let (fd, rl) = paper_values(b);

@@ -1,5 +1,9 @@
 //! Cross-experiment memoization of simulation results, and the claims
 //! that keep concurrent callers from simulating the same pair twice.
+//!
+//! A result is keyed by its trace — the benchmark and the trace's
+//! fingerprint — and its [`ConfigKey`], so one runner can serve suites
+//! generated at several seeds without their results aliasing.
 
 use crate::runner::key::ConfigKey;
 use mds_core::SimResult;
@@ -7,7 +11,11 @@ use mds_workloads::Benchmark;
 use std::collections::HashMap;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-/// One (benchmark, config) request's state: claimed by a caller that is
+/// The trace a result was simulated on: its benchmark and
+/// [`Trace::fingerprint`](mds_isa::Trace::fingerprint).
+pub(super) type TraceId = (Benchmark, u64);
+
+/// One (trace, config) request's state: claimed by a caller that is
 /// still producing its result, or finished.
 #[derive(Debug)]
 enum Entry {
@@ -28,7 +36,7 @@ pub(super) enum Claim {
 
 #[derive(Debug, Default)]
 struct Entries {
-    map: HashMap<ConfigKey, HashMap<Benchmark, Entry>>,
+    map: HashMap<ConfigKey, HashMap<TraceId, Entry>>,
     /// Number of [`Entry::Pending`] entries in `map`.
     pending: usize,
     /// Callers blocked in [`SimCache::wait`]; nobody is woken (a
@@ -37,12 +45,12 @@ struct Entries {
 }
 
 impl Entries {
-    fn get(&self, benchmark: Benchmark, key: &ConfigKey) -> Option<&Entry> {
-        self.map.get(key)?.get(&benchmark)
+    fn get(&self, trace: TraceId, key: &ConfigKey) -> Option<&Entry> {
+        self.map.get(key)?.get(&trace)
     }
 }
 
-/// Memoizes [`SimResult`]s by (benchmark, [`ConfigKey`]) so that
+/// Memoizes [`SimResult`]s by ([`TraceId`], [`ConfigKey`]) so that
 /// configurations shared across experiments — e.g. `NAS/NO`,
 /// `NAS/NAV`, and `NAS/ORACLE`, which fig1, fig2, fig6, summary, and
 /// table4 all revisit — are simulated exactly once per process.
@@ -65,9 +73,9 @@ impl SimCache {
     }
 
     /// Looks a request up, claiming it for the caller when absent.
-    pub fn claim(&self, benchmark: Benchmark, key: &ConfigKey) -> Claim {
+    pub fn claim(&self, trace: TraceId, key: &ConfigKey) -> Claim {
         let mut entries = self.lock();
-        match entries.get(benchmark, key) {
+        match entries.get(trace, key) {
             Some(Entry::Done(_)) => Claim::Hit,
             Some(Entry::Pending) => Claim::Busy,
             None => {
@@ -75,7 +83,7 @@ impl SimCache {
                     .map
                     .entry(key.clone())
                     .or_default()
-                    .insert(benchmark, Entry::Pending);
+                    .insert(trace, Entry::Pending);
                 entries.pending += 1;
                 Claim::Mine
             }
@@ -83,12 +91,12 @@ impl SimCache {
     }
 
     /// Stores the result of a claimed request and wakes its waiters.
-    pub fn publish(&self, benchmark: Benchmark, key: &ConfigKey, result: SimResult) {
+    pub fn publish(&self, trace: TraceId, key: &ConfigKey, result: SimResult) {
         let mut entries = self.lock();
         let entry = entries
             .map
             .get_mut(key)
-            .and_then(|per_bench| per_bench.get_mut(&benchmark))
+            .and_then(|per_trace| per_trace.get_mut(&trace))
             .expect("only claimed requests are published");
         debug_assert!(matches!(entry, Entry::Pending));
         *entry = Entry::Done(Box::new(result));
@@ -98,13 +106,13 @@ impl SimCache {
 
     /// Drops claims that never got a result, so a waiter finds them
     /// absent instead of blocking forever, and wakes every waiter.
-    pub fn release<'k>(&self, claims: impl Iterator<Item = (Benchmark, &'k ConfigKey)>) {
+    pub fn release<'k>(&self, claims: impl Iterator<Item = (TraceId, &'k ConfigKey)>) {
         let mut entries = self.lock();
         let Entries { map, pending, .. } = &mut *entries;
-        for (benchmark, key) in claims {
-            if let Some(per_bench) = map.get_mut(key) {
-                if matches!(per_bench.get(&benchmark), Some(Entry::Pending)) {
-                    per_bench.remove(&benchmark);
+        for (trace, key) in claims {
+            if let Some(per_trace) = map.get_mut(key) {
+                if matches!(per_trace.get(&trace), Some(Entry::Pending)) {
+                    per_trace.remove(&trace);
                     *pending -= 1;
                 }
             }
@@ -122,11 +130,11 @@ impl SimCache {
     }
 
     /// Blocks until none of `requests` is claimed.
-    pub fn wait<'k>(&self, requests: impl Iterator<Item = (Benchmark, &'k ConfigKey)> + Clone) {
+    pub fn wait<'k>(&self, requests: impl Iterator<Item = (TraceId, &'k ConfigKey)> + Clone) {
         let mut entries = self.lock();
         while requests
             .clone()
-            .any(|(b, key)| matches!(entries.get(b, key), Some(Entry::Pending)))
+            .any(|(trace, key)| matches!(entries.get(trace, key), Some(Entry::Pending)))
         {
             entries.waiters += 1;
             entries = self
@@ -138,8 +146,8 @@ impl SimCache {
     }
 
     /// Whether a request has a finished result.
-    pub fn is_done(&self, benchmark: Benchmark, key: &ConfigKey) -> bool {
-        matches!(self.lock().get(benchmark, key), Some(Entry::Done(_)))
+    pub fn is_done(&self, trace: TraceId, key: &ConfigKey) -> bool {
+        matches!(self.lock().get(trace, key), Some(Entry::Done(_)))
     }
 
     /// The memoized result of each request, in order.
@@ -150,11 +158,11 @@ impl SimCache {
     /// for requests they just resolved.
     pub fn results<'k>(
         &self,
-        requests: impl Iterator<Item = (Benchmark, &'k ConfigKey)>,
+        requests: impl Iterator<Item = (TraceId, &'k ConfigKey)>,
     ) -> Vec<SimResult> {
         let entries = self.lock();
         requests
-            .map(|(b, key)| match entries.get(b, key) {
+            .map(|(trace, key)| match entries.get(trace, key) {
                 Some(Entry::Done(result)) => SimResult::clone(result),
                 _ => panic!("every resolved request is memoized"),
             })
@@ -170,9 +178,9 @@ impl SimCache {
     /// re-simulate — used by benchmarks that must time fresh
     /// simulations on every iteration. Claims in flight are kept.
     pub fn clear(&self) {
-        self.lock().map.retain(|_, per_bench| {
-            per_bench.retain(|_, entry| matches!(entry, Entry::Pending));
-            !per_bench.is_empty()
+        self.lock().map.retain(|_, per_trace| {
+            per_trace.retain(|_, entry| matches!(entry, Entry::Pending));
+            !per_trace.is_empty()
         });
     }
 }

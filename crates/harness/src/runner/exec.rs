@@ -19,7 +19,6 @@ use mds_isa::Trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One pending simulation.
@@ -35,7 +34,7 @@ pub(super) struct Job<'a> {
     pub trace: &'a Trace,
     /// The trace's precomputed artifacts, shared (read-only) by every
     /// job replaying the same trace, on any worker thread.
-    pub artifacts: Arc<TraceArtifacts>,
+    pub artifacts: &'a TraceArtifacts,
 }
 
 /// A job whose simulation panicked twice (original run plus one
@@ -70,7 +69,7 @@ fn attempt(job: &Job<'_>, faults: &FaultPlan) -> Result<SimResult, JobError> {
         if let Some(f) = faults.fire(FaultSite::WorkerPanic) {
             panic!("injected fault: {}", f.site.name());
         }
-        Simulator::new(job.config.clone()).run_with_artifacts(job.trace, &job.artifacts)
+        Simulator::new(job.config.clone()).run_with_artifacts(job.trace, job.artifacts)
     }))
     .map_err(|payload| JobError {
         panic: panic_text(payload),

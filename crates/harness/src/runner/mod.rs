@@ -7,7 +7,6 @@
 //! so every rendered table and figure is byte-identical to a
 //! sequential (`--jobs 1`) run.
 
-mod artifacts;
 mod cache;
 mod disk;
 mod exec;
@@ -24,23 +23,23 @@ pub use suite::Suite;
 pub use trace::TraceSink;
 
 use crate::faults::{FaultPlan, FaultSite};
-use artifacts::ArtifactCache;
-use cache::{Claim, SimCache};
+use cache::{Claim, SimCache, TraceId};
 use disk::DiskCache;
 use exec::Job;
 use mds_core::{CoreConfig, SimResult};
+use mds_isa::IsaError;
 use mds_obs::{Registry, SpanId, SpanRecord, Spans};
-use mds_workloads::Benchmark;
+use mds_workloads::{Benchmark, SuiteParams};
 use serde::Value;
 use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 use std::sync::Mutex;
 
-/// One (benchmark, config) request, with the config's cache key.
-type Request<'a> = (Benchmark, &'a CoreConfig, &'a ConfigKey);
+/// One (trace, config) request, with the config's cache key.
+type Request<'a> = (TraceId, &'a CoreConfig, &'a ConfigKey);
 
-/// Drives simulations over a [`Suite`]: memoizes per-(benchmark,
+/// Drives simulations over a [`Suite`]: memoizes per-(benchmark, trace,
 /// config) results across experiments and runs pending simulations in
 /// parallel.
 ///
@@ -67,7 +66,6 @@ pub struct Runner {
     cache: SimCache,
     disk: Option<DiskCache>,
     durable: bool,
-    artifacts: ArtifactCache,
     trace: Option<TraceSink>,
     spans: Spans,
     /// The one store of the runner's counters: [`Runner::stats`] and
@@ -80,27 +78,43 @@ impl Runner {
     /// Wraps a suite with the thread count from
     /// [`std::thread::available_parallelism`].
     pub fn new(suite: Suite) -> Runner {
-        let jobs = std::thread::available_parallelism().map_or(1, usize::from);
-        // Trace generation already happened inside the suite; seed the
-        // registry with its per-benchmark cost so the `trace_gen` phase
-        // is attributed exactly once, not once per config that replays
-        // the trace.
-        let mut obs = Registry::new();
-        for b in suite.benchmarks() {
-            obs.record("phase.trace_gen_us", suite.gen_nanos(b) / 1_000);
-        }
-        Runner {
+        let runner = Runner {
             suite,
-            jobs,
+            jobs: std::thread::available_parallelism().map_or(1, usize::from),
             cache: SimCache::default(),
             disk: None,
             durable: false,
-            artifacts: ArtifactCache::default(),
             trace: None,
             spans: Spans::new(),
-            obs: Mutex::new(obs),
+            obs: Mutex::new(Registry::new()),
             faults: FaultPlan::none(),
-        }
+        };
+        runner.record_trace_gen(&runner.suite);
+        runner
+    }
+
+    /// Generates the runner's benchmarks at other suite parameters —
+    /// another seed, say — for [`Runner::run_batch_on`]. Like
+    /// [`Runner::new`], it records each trace's generation time.
+    ///
+    /// # Errors
+    ///
+    /// Propagates workload generation or interpretation errors.
+    pub(crate) fn generate(&self, params: &SuiteParams) -> Result<Suite, IsaError> {
+        let suite = Suite::generate(&self.suite.benchmarks(), params)?;
+        self.record_trace_gen(&suite);
+        Ok(suite)
+    }
+
+    /// Trace generation happens before any request; seeding the
+    /// registry with each trace's cost attributes the `trace_gen` phase
+    /// exactly once, not once per config that replays the trace.
+    fn record_trace_gen(&self, suite: &Suite) {
+        self.observe(|r| {
+            for (b, _) in suite.iter() {
+                r.record("phase.trace_gen_us", suite.gen_nanos(b) / 1_000);
+            }
+        });
     }
 
     /// Attaches a persistent on-disk cache tier rooted at `dir`,
@@ -276,21 +290,34 @@ impl Runner {
     /// served from memory; with a cache directory attached, the rest is
     /// looked up on disk; only the remainder is simulated.
     pub fn run_batch(&self, configs: &[CoreConfig]) -> Vec<Vec<(Benchmark, SimResult)>> {
+        self.run_batch_on(&self.suite, configs)
+    }
+
+    /// [`Runner::run_batch`] over `suite`'s traces, which may be
+    /// another suite than the runner's own (see [`Runner::generate`]).
+    /// The memo, the disk tier, the counters, the trace sink and the
+    /// fault plan are the runner's either way; each trace's fingerprint
+    /// keeps two suites' results of one benchmark apart.
+    pub(crate) fn run_batch_on(
+        &self,
+        suite: &Suite,
+        configs: &[CoreConfig],
+    ) -> Vec<Vec<(Benchmark, SimResult)>> {
         let keys: Vec<ConfigKey> = configs.iter().map(ConfigKey::of).collect();
+        let traces: Vec<TraceId> = suite.iter().map(|(b, t)| (b, t.fingerprint())).collect();
         let requests: Vec<Request<'_>> = configs
             .iter()
             .zip(&keys)
-            .flat_map(|(config, key)| self.suite.iter().map(move |(b, _)| (b, config, key)))
+            .flat_map(|(config, key)| traces.iter().map(move |&id| (id, config, key)))
             .collect();
-        self.resolve(&requests, None)
+        self.resolve(suite, &requests, None)
             .unwrap_or_else(|e| panic!("simulation failed: {e}"));
         // Assemble each config's results in suite order from the cache,
         // so output ordering never depends on execution interleaving.
-        let benchmarks = self.suite.benchmarks();
         keys.iter()
             .map(|key| {
-                let results = self.cache.results(benchmarks.iter().map(|&b| (b, key)));
-                benchmarks.iter().copied().zip(results).collect()
+                let results = self.cache.results(traces.iter().map(|&id| (id, key)));
+                traces.iter().map(|&(b, _)| b).zip(results).collect()
             })
             .collect()
     }
@@ -338,17 +365,17 @@ impl Runner {
         let requests: Vec<Request<'_>> = pairs
             .iter()
             .zip(&keys)
-            .map(|((b, c), key)| (*b, c, key))
+            .map(|((b, c), key)| ((*b, self.suite.trace(*b).fingerprint()), c, key))
             .collect();
-        self.resolve(&requests, parent)?;
+        self.resolve(&self.suite, &requests, parent)?;
         Ok(self
             .cache
-            .results(requests.iter().map(|&(b, _, key)| (b, key))))
+            .results(requests.iter().map(|&(id, _, key)| (id, key))))
     }
 
-    /// Brings every request's result into memory: the one path every
-    /// entry point takes, and the one place a request is classified and
-    /// counted.
+    /// Brings every request's result into memory, replaying `suite`'s
+    /// traces: the one path every entry point takes, and the one place
+    /// a request is classified and counted.
     ///
     /// A request is a memory hit, a *claim* — a miss this call fills
     /// from the disk tier when attached, else by simulating it in one
@@ -373,7 +400,12 @@ impl Runner {
     /// Returns one message naming every (benchmark, config) whose job
     /// panicked twice, or else every joined request whose owner's job
     /// failed; all other requests complete and are cached.
-    fn resolve(&self, requests: &[Request<'_>], parent: Option<SpanId>) -> Result<(), String> {
+    fn resolve(
+        &self,
+        suite: &Suite,
+        requests: &[Request<'_>],
+        parent: Option<SpanId>,
+    ) -> Result<(), String> {
         // When a trace sink with a sampling stride is attached, the
         // jobs (but not the cache keys) get pipeline-trace recording
         // switched on — and the disk tier is bypassed on reads, since a
@@ -396,20 +428,20 @@ impl Runner {
         };
         let mut mine: Vec<Request<'_>> = Vec::new();
         let mut joined: Vec<Request<'_>> = Vec::new();
-        let mut seen: HashSet<(Benchmark, &ConfigKey)> = HashSet::new();
-        for &(benchmark, config, key) in requests {
-            match self.cache.claim(benchmark, key) {
+        let mut seen: HashSet<(TraceId, &ConfigKey)> = HashSet::new();
+        for &(id, config, key) in requests {
+            match self.cache.claim(id, key) {
                 Claim::Mine => {
-                    seen.insert((benchmark, key));
-                    claims.held.push(Some((benchmark, key)));
-                    mine.push((benchmark, config, key));
+                    seen.insert((id, key));
+                    claims.held.push(Some((id, key)));
+                    mine.push((id, config, key));
                 }
                 // Claimed by another caller: join it, once.
-                Claim::Busy if seen.insert((benchmark, key)) => {
-                    joined.push((benchmark, config, key));
+                Claim::Busy if seen.insert((id, key)) => {
+                    joined.push((id, config, key));
                 }
                 // Memoized, or a repeat within this call.
-                Claim::Hit | Claim::Busy => self.memory_hit(benchmark, config),
+                Claim::Hit | Claim::Busy => self.memory_hit(id.0, config),
             }
         }
         let served = (requests.len() - mine.len() - joined.len()) as u64;
@@ -430,30 +462,29 @@ impl Runner {
         // Per pending job: (claim index, enqueue offset, whether this
         // request built the artifact bundle, its build nanos).
         let mut pending_meta: Vec<(usize, u64, bool, u64)> = Vec::new();
-        for (i, &(benchmark, config, key)) in mine.iter().enumerate() {
+        for (i, &(id, config, key)) in mine.iter().enumerate() {
             if !record_pipe {
-                if let Some(result) = self.load(benchmark, config, key, resolve_id) {
+                if let Some(result) = self.load(id, config, key, resolve_id) {
                     claims.publish(i, result);
                     continue;
                 }
             }
-            let trace = self.suite.trace(benchmark);
-            let lookup = self.artifacts.get_or_build(benchmark, trace);
-            if lookup.built {
+            let (artifacts, build_nanos, built) = suite.artifacts(id.0);
+            if built {
                 self.observe(|r| {
                     r.incr("runner.artifact_builds");
-                    r.add("runner.prep_ns", lookup.build_nanos);
-                    r.record("phase.artifact_build_us", lookup.build_nanos / 1_000);
+                    r.add("runner.prep_ns", build_nanos);
+                    r.record("phase.artifact_build_us", build_nanos / 1_000);
                 });
             }
             pending.push(Job {
                 config: config
                     .clone()
                     .with_pipetrace(record_pipe || config.record_pipeline_trace),
-                trace,
-                artifacts: lookup.artifacts,
+                trace: suite.trace(id.0),
+                artifacts,
             });
-            pending_meta.push((i, self.spans.now_ns(), lookup.built, lookup.build_nanos));
+            pending_meta.push((i, self.spans.now_ns(), built, build_nanos));
         }
 
         self.observe(|r| r.set_gauge("runner.queue_depth", pending.len() as f64));
@@ -472,7 +503,7 @@ impl Runner {
         self.observe(|r| r.set_gauge("runner.queue_depth", 0.0));
         let mut failures: Vec<String> = Vec::new();
         for ((i, enqueue_ns, built, build_nanos), job_done) in pending_meta.into_iter().zip(done) {
-            let (benchmark, _, key) = mine[i];
+            let ((benchmark, fp), _, key) = mine[i];
             let exec::JobDone {
                 outcome,
                 retried,
@@ -527,7 +558,7 @@ impl Runner {
             // the span attributes that amortized cost to each config
             // that replays the trace, flagged so aggregation can avoid
             // double-counting it as fresh work.
-            let trace_gen_ns = self.suite.gen_nanos(benchmark);
+            let trace_gen_ns = suite.gen_nanos(benchmark);
             let amortized = [("amortized", Value::Bool(true))];
             self.phase("trace_gen", cr_id, enqueue_ns, trace_gen_ns, &amortized);
             let cached = [("cached", Value::Bool(!built))];
@@ -572,7 +603,6 @@ impl Runner {
             }
             if let Some(disk) = &self.disk {
                 let write_start = self.spans.now_ns();
-                let fp = self.suite.trace(benchmark).fingerprint();
                 match disk.store(benchmark, fp, key, &result, &self.faults) {
                     Ok(()) => self.observe(|r| r.incr("cache.disk_writes")),
                     Err(e) => {
@@ -610,7 +640,7 @@ impl Runner {
                 .as_ref()
                 .map(|_| self.spans.enter("dedup_join", resolve_id));
             self.cache
-                .wait(joined.iter().map(|&(benchmark, _, key)| (benchmark, key)));
+                .wait(joined.iter().map(|&(id, _, key)| (id, key)));
             if let Some(mut span) = join_span {
                 span.add_field("joined", Value::UInt(joined.len() as u64));
                 self.emit_span(&span.finish()).expect("writing JSONL trace");
@@ -626,8 +656,8 @@ impl Runner {
         // A joined request is missing when its owner's job failed.
         let missing: Vec<String> = joined
             .iter()
-            .filter(|&&(benchmark, _, key)| !self.cache.is_done(benchmark, key))
-            .map(|(benchmark, config, _)| {
+            .filter(|&&(id, _, key)| !self.cache.is_done(id, key))
+            .map(|((benchmark, _), config, _)| {
                 format!("{} under {}", benchmark.name(), config.policy.paper_name())
             })
             .collect();
@@ -637,7 +667,7 @@ impl Runner {
                 missing.join(", ")
             ));
         }
-        for &(benchmark, config, _) in &joined {
+        for &((benchmark, _), config, _) in &joined {
             self.memory_hit(benchmark, config);
         }
         Ok(())
@@ -649,14 +679,13 @@ impl Runner {
     /// re-simulation: slower, never wrong.
     fn load(
         &self,
-        benchmark: Benchmark,
+        (benchmark, fp): TraceId,
         config: &CoreConfig,
         key: &ConfigKey,
         parent: Option<SpanId>,
     ) -> Option<SimResult> {
         let disk = self.disk.as_ref()?;
         let start = self.spans.now_ns();
-        let fp = self.suite.trace(benchmark).fingerprint();
         match disk.load(benchmark, fp, key, &self.faults) {
             Ok(Some(result)) => {
                 let read_ns = self.spans.now_ns().saturating_sub(start);
@@ -764,14 +793,14 @@ impl Runner {
 struct Claims<'a> {
     cache: &'a SimCache,
     /// Indexed like the call's claimed requests; `None` once published.
-    held: Vec<Option<(Benchmark, &'a ConfigKey)>>,
+    held: Vec<Option<(TraceId, &'a ConfigKey)>>,
 }
 
 impl Claims<'_> {
     /// Publishes claim `i`'s result, which wakes its waiters.
     fn publish(&mut self, i: usize, result: SimResult) {
-        let (benchmark, key) = self.held[i].take().expect("a claim is published once");
-        self.cache.publish(benchmark, key, result);
+        let (id, key) = self.held[i].take().expect("a claim is published once");
+        self.cache.publish(id, key, result);
     }
 }
 
@@ -1103,6 +1132,56 @@ mod tests {
         runner.run(&CoreConfig::paper_128().with_policy(Policy::NasSync));
         assert_eq!(runner.stats().artifact_builds, 2);
         assert!(runner.stats().prep_nanos > 0, "prep time is attributed");
+    }
+
+    #[test]
+    fn two_seeds_of_one_benchmark_do_not_alias() {
+        let own = SuiteParams::tiny();
+        let other = SuiteParams {
+            seed: 0x1234,
+            ..own
+        };
+        let runner = Runner::new(Suite::generate(&[Benchmark::Compress], &own).unwrap());
+        let suite = runner.generate(&other).unwrap();
+        let cfg = CoreConfig::paper_128().with_policy(Policy::NasSync);
+        let on_other = || runner.run_batch_on(&suite, std::slice::from_ref(&cfg));
+        let first = (runner.run(&cfg), on_other());
+        assert_eq!(runner.stats().simulations, 2, "one simulation per seed");
+        let again = (runner.run(&cfg), on_other());
+        assert_eq!(runner.stats().simulations, 2, "repeats are memo hits");
+        assert_eq!(runner.stats().cache_hits, 2);
+        assert_eq!(format!("{first:?}"), format!("{again:?}"));
+        assert_ne!(format!("{:?}", first.0), format!("{:?}", first.1[0]));
+        // Each seed's result is what a runner of that seed alone gets.
+        for (params, got) in [(own, first.0), (other, first.1[0].clone())] {
+            let fresh = Runner::new(Suite::generate(&[Benchmark::Compress], &params).unwrap());
+            assert_eq!(format!("{:?}", fresh.run(&cfg)), format!("{got:?}"));
+        }
+    }
+
+    #[test]
+    fn run_batch_on_the_runners_suite_shares_run_batchs_memo() {
+        let runner = Runner::new(
+            Suite::generate(
+                &[Benchmark::Compress, Benchmark::Swim],
+                &SuiteParams::tiny(),
+            )
+            .unwrap(),
+        );
+        let cfgs: Vec<CoreConfig> = [Policy::NasNo, Policy::NasOracle]
+            .iter()
+            .map(|&p| CoreConfig::paper_128().with_policy(p))
+            .collect();
+        let on = runner.run_batch_on(runner.suite(), &cfgs);
+        assert_eq!(runner.stats().simulations, 4);
+        let batch = runner.run_batch(&cfgs);
+        assert_eq!(format!("{on:?}"), format!("{batch:?}"));
+        assert_eq!(
+            runner.stats().simulations,
+            4,
+            "run_batch found every result"
+        );
+        assert_eq!(runner.stats().cache_hits, 4);
     }
 
     #[test]

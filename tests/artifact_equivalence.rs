@@ -10,7 +10,7 @@
 //! bundle per call (the per-machine-rebuild baseline).
 //!
 //! On top of the core-level check, a runner-level test asserts that the
-//! memoizing, multi-threaded [`Runner`] — which serves one `Arc`-shared
+//! memoizing, multi-threaded [`Runner`] — which serves one shared
 //! bundle per benchmark to all worker threads — matches direct
 //! single-threaded `Simulator::run` calls exactly, so every rendered
 //! table stays byte-identical with the artifact cache on or off.
@@ -49,7 +49,7 @@ fn assert_equivalent(cfg: CoreConfig, trace: &Trace, shared: &TraceArtifacts, wh
 #[test]
 fn shared_artifacts_match_rebuild_across_the_config_matrix() {
     let trace = Benchmark::Li.trace(&SuiteParams::tiny()).expect("trace");
-    let shared = TraceArtifacts::shared(&trace);
+    let shared = TraceArtifacts::build(&trace);
     for policy in ALL_NINE {
         assert_equivalent(
             CoreConfig::paper_128().with_policy(policy),
@@ -87,7 +87,7 @@ fn shared_artifacts_match_rebuild_on_a_memory_recurrence() {
     let trace = Benchmark::Tomcatv
         .trace(&SuiteParams::tiny())
         .expect("trace");
-    let shared = TraceArtifacts::shared(&trace);
+    let shared = TraceArtifacts::build(&trace);
     for policy in [Policy::NasNaive, Policy::NasOracle, Policy::AsNaive] {
         assert_equivalent(
             CoreConfig::paper_128().with_policy(policy),
@@ -98,7 +98,7 @@ fn shared_artifacts_match_rebuild_on_a_memory_recurrence() {
     }
 }
 
-/// The parallel, memoizing runner (shared `Arc` bundle per benchmark,
+/// The parallel, memoizing runner (one shared bundle per benchmark,
 /// work-stealing threads) must match direct single-threaded runs that
 /// rebuild artifacts per simulation.
 #[test]
